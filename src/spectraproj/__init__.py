@@ -6,7 +6,7 @@ repair it by facial reduction, and diagnose degeneracy of solutions.
 
 Subpackage map:
 
-* :mod:`.symcore`    symmetric-matrix kernel (svec/smat, spectral splits, projections)
+* :mod:`.symcore`    symmetric-matrix kernel (stack-aware svec/smat, spectral splits, projections)
 * :mod:`.model`      problem data, residuals, duality, instance files
 * :mod:`.ssnewton`   the regularized semismooth Newton solver and its trace
 * :mod:`.facialred`  auxiliary-system certificates and the facial-reduction loop
@@ -44,12 +44,10 @@ from .ssnewton import (
     NewtonOptions,
     NewtonStatus,
     NewtonTrace,
-    b_matrix,
     dir_deriv_proj,
     jacobian,
     jacobian_spectrum,
     newton_solve,
-    omega_block,
     trace_to_csv,
 )
 from .facialred import (

@@ -22,7 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .degeneracy import is_nondegenerate, jacobian_degeneracy_crosscheck
+from .degeneracy import FEAS_TOL, is_nondegenerate, jacobian_degeneracy_crosscheck
 from .facialred import (
     FaceCollapsedError,
     certificate_from_stall,
@@ -245,8 +245,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "p_star": primal_objective(inst, X_lift),
         "reduced": _solve_summary(current, trace),
     }
-    if pf <= 1e-6:
+    if pf <= FEAS_TOL:
         report["degeneracy"] = is_nondegenerate(inst, X_lift).to_dict()
+    else:
+        # the rank test refuses points this far off the constraints
+        report["degeneracy"] = None
+        report["infeasible"] = {
+            "reason": f"lifted pf {pf:.3e} exceeds the rank test's tolerance {FEAS_TOL:g}",
+            "pf": float(pf),
+        }
     if "report" in args.emit:
         _write_json(out / "report.json", report)
     print(

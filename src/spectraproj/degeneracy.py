@@ -22,6 +22,8 @@ from .ssnewton import NewtonTrace
 from .symcore import eig_sym, svec
 
 RANK_TOL = 1e-8
+#: largest scaled residual ||A(X) - b|| / (1 + ||b||) the rank test accepts
+FEAS_TOL = 1e-8
 
 
 @dataclass
@@ -60,7 +62,7 @@ def _feasibility_guard(inst: BapInstance, X: np.ndarray, feas_tol: float) -> np.
     return X
 
 
-def build_L(inst: BapInstance, X: np.ndarray, feas_tol: float = 1e-8) -> np.ndarray:
+def build_L(inst: BapInstance, X: np.ndarray, feas_tol: float = FEAS_TOL) -> np.ndarray:
     """Nondegeneracy test matrix at a feasible X.
 
     Column i stacks svec(V' A_i V) over sqrt(2) * vec(V' A_i Vbar), where V
@@ -73,20 +75,17 @@ def build_L(inst: BapInstance, X: np.ndarray, feas_tol: float = 1e-8) -> np.ndar
 
 
 def _build_L_split(
-    inst: BapInstance, X: np.ndarray, feas_tol: float = 1e-8
+    inst: BapInstance, X: np.ndarray, feas_tol: float = FEAS_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     X = _feasibility_guard(inst, X, feas_tol)
     dec = eig_sym(X, zero_tol=RANK_TOL)
     r = len(dec.alpha)
     V = dec.U[:, :r]
     Vbar = dec.U[:, r:]
-    cols = []
-    for i in range(inst.m):
-        Ai = inst.map.matrix(i)
-        top = svec(V.T @ Ai @ V)
-        mid = np.sqrt(2.0) * (V.T @ Ai @ Vbar).ravel()
-        cols.append(np.concatenate([top, mid]))
-    return np.array(cols).T, V, Vbar
+    mats = inst.map.matrices()
+    top = svec(V.T @ mats @ V)
+    mid = np.sqrt(2.0) * (V.T @ mats @ Vbar).reshape(inst.m, r * (inst.n - r))
+    return np.hstack([top, mid]).T, V, Vbar
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -99,7 +98,7 @@ def is_nondegenerate(
     inst: BapInstance,
     X: np.ndarray,
     Z: np.ndarray | None = None,
-    feas_tol: float = 1e-8,
+    feas_tol: float = FEAS_TOL,
 ) -> DegeneracyReport:
     """Rank verdict at a feasible X, with strict complementarity when Z is given."""
     L, V, _ = _build_L_split(inst, X, feas_tol)

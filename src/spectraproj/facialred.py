@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import BapInstance, LinearMap, preprocess_surjective, residual_F_face
 from .ssnewton import NewtonStatus, NewtonTrace, _dir_deriv_from_dec, jacobian
-from .symcore import DEFAULT_ZERO_TOL, eig_sym, svec, tri_len
+from .symcore import DEFAULT_ZERO_TOL, eig_sym, svec
 
 
 class FaceCollapsedError(Exception):
@@ -84,21 +84,16 @@ def _aux_residual(inst: BapInstance, lam: np.ndarray) -> tuple[np.ndarray, np.nd
     return r, M
 
 
-def _aux_jacobian(inst: BapInstance, lam: np.ndarray) -> np.ndarray:
+def _aux_jacobian(inst: BapInstance, lam: np.ndarray, mats: np.ndarray) -> np.ndarray:
     # residual row block is svec(M - P(M)); its derivative in lam_j is
-    # svec(A_j - P'(M; A_j))
-    M = inst.map.adjoint(lam)
-    dec = eig_sym(M, zero_tol=DEFAULT_ZERO_TOL)
-    m = inst.m
-    cols = np.empty((tri_len(inst.n) + 1, m))
-    for j in range(m):
-        Aj = inst.map.matrix(j)
-        cols[:-1, j] = svec(Aj - _dir_deriv_from_dec(dec, Aj))
-        cols[-1, j] = inst.b[j]
-    return cols
+    # svec(A_j - P'(M; A_j)), with mats the (m, n, n) stack of the A_j
+    dec = eig_sym(inst.map.adjoint(lam), zero_tol=DEFAULT_ZERO_TOL)
+    return np.vstack([svec(mats - _dir_deriv_from_dec(dec, mats)).T, inst.b])
 
 
-def _polish_certificate(inst: BapInstance, lam: np.ndarray, rn: float) -> tuple[np.ndarray, float]:
+def _polish_certificate(
+    inst: BapInstance, lam: np.ndarray, rn: float, mats: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Snap a near-certificate onto the exact face it is trying to expose.
 
     A residual of ``rn`` still tolerates spurious multiplier components of
@@ -107,7 +102,7 @@ def _polish_certificate(inst: BapInstance, lam: np.ndarray, rn: float) -> tuple[
     the face.  For a few candidate rank cuts this solves the exact linear
     system (complement block of A* vanishes, b-orthogonality) and keeps the
     null vector closest to ``lam`` whenever that strictly improves the
-    residual.
+    residual.  ``mats`` is the (m, n, n) stack of constraint matrices.
     """
     best_lam, best_rn = lam, rn
     for theta in (1e-4, 1e-6, 1e-8):
@@ -125,10 +120,7 @@ def _polish_certificate(inst: BapInstance, lam: np.ndarray, rn: float) -> tuple[
             if k == 0 or k == inst.n:
                 break
             N = U[:, keep]
-            rows = np.array(
-                [svec(N.T @ inst.map.matrix(j) @ N) for j in range(inst.m)]
-            )
-            K = np.vstack([rows.T, inst.b])
+            K = np.vstack([svec(N.T @ mats @ N).T, inst.b])
             _, sig, Vt = np.linalg.svd(K, full_matrices=True)
             null_mask = np.zeros(inst.m, dtype=bool)
             null_mask[len(sig):] = True
@@ -184,6 +176,7 @@ def solve_aux_gauss_newton(
         v = rng.standard_normal(m)
         starts.append(v / np.linalg.norm(v))
 
+    mats = inst.map.matrices()
     for lam in starts:
         lam = lam.copy()
         r, M = _aux_residual(inst, lam)
@@ -191,7 +184,7 @@ def solve_aux_gauss_newton(
         for _ in range(max_iter):
             if rn <= tol or m == 1:
                 break
-            J = _aux_jacobian(inst, lam)
+            J = _aux_jacobian(inst, lam, mats)
             # tangent basis at lam: trailing columns of a full QR of [lam]
             Q, _ = np.linalg.qr(lam.reshape(-1, 1), mode="complete")
             T = Q[:, 1:]
@@ -216,7 +209,7 @@ def solve_aux_gauss_newton(
             if not improved:
                 break
         if rn <= tol and np.linalg.norm(M) >= 1e-8:
-            lam, rn = _polish_certificate(inst, lam, rn)
+            lam, rn = _polish_certificate(inst, lam, rn, mats)
             M = inst.map.adjoint(lam)
             if np.linalg.norm(M) < 1e-8:
                 continue
@@ -273,9 +266,7 @@ def fr_step(
     if not keep:
         raise FaceCollapsedError("exposing matrix is positive definite; face is {0}")
     Q = dec.U[:, keep]
-    r = Q.shape[1]
-    reduced_rows = np.array([svec(Q.T @ inst.map.matrix(i) @ Q) for i in range(inst.m)])
-    amap = LinearMap(n=r, rows=reduced_rows)
+    amap = LinearMap(n=Q.shape[1], rows=svec(Q.T @ inst.map.matrices() @ Q))
     red_map, red_b, removed = preprocess_surjective(amap, inst.b)
     meta = dict(inst.meta)
     meta["reduced_from"] = inst.n
@@ -370,7 +361,6 @@ def fr_report(chain: FaceChain, final_inst: BapInstance) -> dict[str, Any]:
         ],
         "sd_hat": chain.sd_hat,
         "iips_hat": chain.iips_hat,
-        "slater_after": True,
         "final_n": int(final_inst.n),
         "final_m": int(final_inst.m),
     }

@@ -42,9 +42,8 @@ class LinearMap:
 
     @classmethod
     def from_matrices(cls, mats: list[np.ndarray]) -> "LinearMap":
-        mats = [np.asarray(M, dtype=float) for M in mats]
-        n = mats[0].shape[0]
-        return cls(n=n, rows=np.array([svec(M) for M in mats]))
+        mats = np.asarray(mats, dtype=float)
+        return cls(n=mats.shape[-1], rows=svec(mats))
 
     def matrix(self, i: int) -> np.ndarray:
         """The i-th constraint matrix A_i as a dense symmetric array."""
@@ -52,7 +51,7 @@ class LinearMap:
 
     def matrices(self) -> np.ndarray:
         """All constraint matrices stacked into an (m, n, n) array."""
-        return np.array([smat(r) for r in self.rows])
+        return smat(self.rows)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """A(X), the vector of inner products <A_i, X>."""

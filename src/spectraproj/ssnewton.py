@@ -27,8 +27,6 @@ __all__ = [
     "NewtonStatus",
     "NewtonIterate",
     "NewtonTrace",
-    "omega_block",
-    "b_matrix",
     "dir_deriv_proj",
     "jacobian",
     "jacobian_spectrum",
@@ -37,64 +35,40 @@ __all__ = [
 ]
 
 
-def omega_block(lam: np.ndarray, alpha: list[int], gamma: list[int]) -> np.ndarray:
-    """First-divided-difference block of max(., 0) on positive/negative pairs.
-
-    Entry (i, j) is lam_a / (lam_a - lam_g) for a in alpha, g in gamma; all
-    entries lie in (0, 1) when the index sets are clean.
-    """
-    lam = np.asarray(lam, dtype=float)
-    la = lam[list(alpha)]
-    lg = lam[list(gamma)]
-    if la.size and lg.size:
-        return la[:, None] / (la[:, None] - lg[None, :])
-    return np.zeros((la.size, lg.size))
-
-
-def b_matrix(x: np.ndarray) -> np.ndarray:
-    """Pairwise weight matrix of the projection derivative for a nonzero spectrum.
-
-    For x sorted nonincreasing with p positive and q negative entries the
-    matrix is 1 on the leading p-by-p block, 0 on the trailing q-by-q block,
-    and x_i/(x_i - x_j) on the mixed blocks.  Raises on zeros or misordering.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a vector of eigenvalues")
-    if np.any(np.diff(x) > 0):
-        raise ValueError("eigenvalues must be sorted nonincreasing")
-    if np.any(x == 0):
-        raise ValueError("b_matrix is defined for nonzero spectra only")
-    n = x.size
-    p = int(np.sum(x > 0))
-    B = np.zeros((n, n))
-    B[:p, :p] = 1.0
-    if p and p < n:
-        Bu = x[:p, None] / (x[:p, None] - x[None, p:])
-        B[:p, p:] = Bu
-        B[p:, :p] = Bu.T
-    return B
-
-
 def _split_sizes(dec: SpectralDecomp) -> tuple[int, int, int]:
     return len(dec.alpha), len(dec.beta), len(dec.gamma)
 
 
+def _weights(lam: np.ndarray, p: int, z: int) -> np.ndarray:
+    """First-divided-difference weights of max(., 0) on a sorted split spectrum.
+
+    ``lam`` is nonincreasing with ``p`` positive entries followed by ``z`` in
+    the zero bucket.  The symmetric n-by-n result is 1 between the positive
+    bucket and the positive or zero buckets, lam_a / (lam_a - lam_g) in (0, 1)
+    between positive a and negative g, and 0 on every other pair.
+    """
+    n = lam.size
+    w = np.zeros((n, n))
+    w[:p, : p + z] = 1.0
+    w[p : p + z, :p] = 1.0
+    om = lam[:p, None] / (lam[:p, None] - lam[None, p + z :])
+    w[:p, p + z :] = om
+    w[p + z :, :p] = om.T
+    return w
+
+
 def _dir_deriv_from_dec(dec: SpectralDecomp, H: np.ndarray) -> np.ndarray:
-    p, z, q = _split_sizes(dec)
-    U, lam = dec.U, dec.lam
+    """P'(Y; H) for one direction ``(n, n)`` or a stack ``(..., n, n)`` of them."""
+    p, z, _ = _split_sizes(dec)
+    U = dec.U
     Ht = U.T @ H @ U
-    M = np.zeros_like(Ht)
-    M[:p, :p] = Ht[:p, :p]
+    M = _weights(dec.lam, p, z) * Ht
+    # Ht is symmetric only to rounding; mirror the weighted upper mixed block
+    M[..., p + z :, :p] = np.swapaxes(M[..., :p, p + z :], -1, -2)
     if z:
-        M[:p, p : p + z] = Ht[:p, p : p + z]
-        M[p : p + z, :p] = Ht[p : p + z, :p]
-        Bzz, _ = project_psd(Ht[p : p + z, p : p + z])
-        M[p : p + z, p : p + z] = Bzz
-    if p and q:
-        om = lam[:p, None] / (lam[:p, None] - lam[None, p + z :])
-        M[:p, p + z :] = om * Ht[:p, p + z :]
-        M[p + z :, :p] = M[:p, p + z :].T
+        n = dec.n
+        for Mk, Hk in zip(M.reshape(-1, n, n), Ht.reshape(-1, n, n)):
+            Mk[p : p + z, p : p + z], _ = project_psd(Hk[p : p + z, p : p + z])
     return U @ M @ U.T
 
 
@@ -135,13 +109,9 @@ def _jacobian_from_dec(
         return np.zeros((m, m))
     if p == n:
         return rows @ rows.T
-    U, lam = dec.U, dec.lam
+    U = dec.U
     G = np.matmul(U.T[None, :, :], np.matmul(mats, U))
-    w = np.zeros((n, n))
-    w[:p, :p] = 1.0
-    Bu = lam[:p, None] / (lam[:p, None] - lam[None, p:])
-    w[:p, p:] = Bu
-    w[p:, :p] = Bu.T
+    w = _weights(dec.lam, p, 0)
     Gf = G.reshape(m, n * n)
     J = (Gf * w.ravel()) @ Gf.T
     return 0.5 * (J + J.T)

@@ -3,6 +3,8 @@
 Everything downstream works with dense real symmetric matrices of modest order
 (n <= 200 or so).  Matrices are plain ``(n, n)`` numpy arrays; the half-vector
 form produced by :func:`svec` is the storage format for linear maps and files.
+:func:`svec` and :func:`smat` also take stacks ``(..., n, n)`` and ``(..., t)``,
+so a whole family of constraint matrices converts in one call.
 """
 
 from __future__ import annotations
@@ -31,42 +33,44 @@ def tri_order(t: int) -> int:
 
 
 def svec(M: np.ndarray) -> np.ndarray:
-    """Half-vectorize a symmetric matrix isometrically.
+    """Half-vectorize a symmetric matrix, or a stack of them, isometrically.
 
     Upper triangle in row-major order; off-diagonal entries are scaled by
     sqrt(2) so that ``svec(A) @ svec(B) == trace(A @ B)``.
 
     Parameters
     ----------
-    M : (n, n) ndarray
-        Symmetric matrix.  Symmetry is trusted, only the upper triangle is read.
+    M : (..., n, n) ndarray
+        Symmetric matrix or stack.  Symmetry is trusted, only the upper
+        triangle is read.
 
     Returns
     -------
-    (n*(n+1)/2,) ndarray
+    (..., n*(n+1)/2) ndarray
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    iu, ju = np.triu_indices(n)
-    v = M[iu, ju].copy()
-    v[iu != ju] *= SQRT2
+    iu, ju = np.triu_indices(M.shape[-1])
+    # copy to C order: fancy indexing a stack returns a transposed layout, and
+    # BLAS would sum products against such rows in a different order
+    v = M[..., iu, ju].copy()
+    v[..., iu != ju] *= SQRT2
     return v
 
 
 def smat(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`: ``(..., t)`` half-vectors to ``(..., n, n)`` matrices."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    n = tri_order(v.size)
+    if v.ndim < 1:
+        raise ValueError("expected a vector or a stack of vectors")
+    n = tri_order(v.shape[-1])
     iu, ju = np.triu_indices(n)
     w = v.copy()
-    w[iu != ju] /= SQRT2
-    M = np.zeros((n, n))
-    M[iu, ju] = w
-    M[ju, iu] = w
+    w[..., iu != ju] /= SQRT2
+    M = np.zeros(v.shape[:-1] + (n, n))
+    M[..., iu, ju] = w
+    M[..., ju, iu] = w
     return M
 
 

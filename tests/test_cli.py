@@ -9,6 +9,7 @@ from spectraproj.cli import (
     EXIT_OK,
     main,
 )
+from spectraproj.degeneracy import FEAS_TOL
 from spectraproj.instances import fixture_dual_gap_face, fixture_sd2_chain
 from spectraproj.model import BapInstance, LinearMap, load_instance, save_instance
 from spectraproj.symcore import svec
@@ -168,6 +169,21 @@ def test_solve_drops_consistent_duplicate_rows(tmp_path, capsys):
     assert "status=Solved" in capsys.readouterr().out
     rep = json.loads((out / "report.json").read_text())
     assert rep["relres"] <= 1e-13
+
+
+def test_pipeline_skips_rank_test_off_its_feasibility_tolerance(tmp_path, capsys):
+    # a loose stop leaves the lifted point between the old 1e-6 gate and the
+    # rank test's own tolerance, where the rank test used to raise
+    out = tmp_path / "pipe"
+    assert _run(
+        "pipeline", "--gen", "PlantedNoSlater", "--n", "15", "--m", "7",
+        "--sd", "1", "--iips", "1", "--support", "5", "--eps", "1e-7",
+        "--out", str(out),
+    ) == EXIT_OK
+    rep = json.loads((out / "report.json").read_text())
+    assert FEAS_TOL < rep["pf"] <= 1e-6
+    assert rep["degeneracy"] is None
+    assert rep["infeasible"]["pf"] == rep["pf"]
 
 
 def test_diagnose_solve_path(tmp_path, capsys):

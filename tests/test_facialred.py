@@ -4,6 +4,8 @@ import pytest
 from spectraproj.facialred import (
     AuxCertificate,
     FaceCollapsedError,
+    _aux_jacobian,
+    _aux_residual,
     certificate_from_stall,
     check_independence,
     fr_loop,
@@ -55,6 +57,28 @@ def test_certificate_found_on_planted_instances():
         # the exposing matrix annihilates every feasible point
         Xhat = smat(np.asarray(inst.meta["planted"]["xhat"]))
         assert abs(np.sum(Xhat * cert.Z)) <= 1e-9 * (1 + np.linalg.norm(Xhat))
+
+
+def test_aux_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(4)
+    for inst in (_certificate_instance(), gen_random_slater(6, 9, seed=1)):
+        mats = inst.map.matrices()
+        checked = 0
+        while checked < 6:
+            lam = rng.standard_normal(inst.m)
+            # the residual is smooth only away from zero eigenvalues of A*(lam)
+            if np.abs(np.linalg.eigvalsh(inst.map.adjoint(lam))).min() < 1e-3:
+                continue
+            J = _aux_jacobian(inst, lam, mats)
+            h = 1e-6
+            for j in range(inst.m):
+                e = np.zeros(inst.m)
+                e[j] = h
+                rp, _ = _aux_residual(inst, lam + e)
+                rm, _ = _aux_residual(inst, lam - e)
+                fd = (rp - rm) / (2 * h)
+                assert np.linalg.norm(fd - J[:, j]) <= 1e-6 * max(1.0, np.linalg.norm(J[:, j]))
+            checked += 1
 
 
 def test_no_certificate_on_strictly_feasible_instances():

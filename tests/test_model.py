@@ -179,6 +179,15 @@ def test_primal_objective_matches_definition():
     )
 
 
+def test_matrices_stack_round_trips_and_handles_an_empty_map():
+    rng = np.random.default_rng(8)
+    mats = [0.5 * (G + G.T) for G in rng.standard_normal((3, 4, 4))]
+    amap = LinearMap.from_matrices(mats)
+    assert np.array_equal(amap.matrices(), np.array([amap.matrix(i) for i in range(3)]))
+    assert np.allclose(amap.matrices(), mats, atol=1e-15)
+    assert LinearMap(n=3, rows=np.zeros((0, tri_len(3)))).matrices().shape == (0, 3, 3)
+
+
 def test_empty_map_preprocess():
     amap = LinearMap(n=3, rows=np.zeros((0, tri_len(3))))
     red, b, removed = preprocess_surjective(amap, np.zeros(0))

@@ -13,12 +13,12 @@ from spectraproj.model import residual_F
 from spectraproj.ssnewton import (
     NewtonOptions,
     NewtonStatus,
-    b_matrix,
+    _dir_deriv_from_dec,
+    _weights,
     dir_deriv_proj,
     jacobian,
     jacobian_spectrum,
     newton_solve,
-    omega_block,
     trace_to_csv,
 )
 from spectraproj.symcore import eig_sym
@@ -29,35 +29,44 @@ def _sym(rng, n, scale=1.0):
     return 0.5 * (G + G.T)
 
 
-def test_omega_block_range():
+def test_weights_range():
     lam = np.array([3.0, 1.0, -0.5, -2.0])
-    om = omega_block(lam, [0, 1], [2, 3])
-    assert om.shape == (2, 2)
+    om = _weights(lam, 2, 0)[:2, 2:]
     assert np.all(om > 0) and np.all(om < 1)
     assert om[0, 0] == pytest.approx(3.0 / 3.5)
 
 
-def test_omega_block_empty_sides():
-    lam = np.array([1.0, 2.0])
-    assert omega_block(lam, [], [0, 1]).shape == (0, 2)
+def test_weights_empty_sides():
+    assert np.array_equal(_weights(np.array([-1.0, -2.0]), 0, 0), np.zeros((2, 2)))
+    assert np.array_equal(_weights(np.array([2.0, 1.0]), 2, 0), np.ones((2, 2)))
+    assert _weights(np.zeros(0), 0, 0).shape == (0, 0)
 
 
-def test_b_matrix_blocks():
-    x = np.array([2.0, 1.0, -1.0])
-    B = b_matrix(x)
-    assert np.array_equal(B[:2, :2], np.ones((2, 2)))
-    assert B[2, 2] == 0.0
-    assert B[0, 2] == pytest.approx(2.0 / 3.0)
-    assert np.allclose(B, B.T)
+def test_weights_block_pattern():
+    w = _weights(np.array([2.0, 1.0, -1.0]), 2, 0)
+    assert np.array_equal(w[:2, :2], np.ones((2, 2)))
+    assert w[2, 2] == 0.0
+    assert w[0, 2] == pytest.approx(2.0 / 3.0)
+    assert np.array_equal(w, w.T)
+    # a zero bucket pairs like the positive one against positives, else like a
+    # negative one
+    w = _weights(np.array([2.0, 1.0, 0.0, -1.0, -3.0]), 2, 1)
+    assert np.array_equal(w, w.T)
+    assert np.array_equal(w[:2, :3], np.ones((2, 3)))
+    assert np.array_equal(w[2:, 2:], np.zeros((3, 3)))
+    assert w[1, 4] == pytest.approx(1.0 / 4.0)
 
 
-def test_b_matrix_rejects_bad_input():
-    with pytest.raises(ValueError):
-        b_matrix(np.array([1.0, 2.0]))  # misordered
-    with pytest.raises(ValueError):
-        b_matrix(np.array([1.0, 0.0]))  # zero eigenvalue
-    with pytest.raises(ValueError):
-        b_matrix(np.eye(2))
+def test_dir_deriv_stack_matches_single_directions():
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    for lam in ([3.0, 1.0, 0.0, 0.0, -0.5, -2.0], [2.0, 1.5, 0.7, -0.1, -1.0, -4.0]):
+        dec = eig_sym((Q * lam) @ Q.T)
+        assert len(dec.beta) == lam.count(0.0)
+        Hs = np.array([_sym(rng, 6) for _ in range(6)]).reshape(2, 3, 6, 6)
+        D = _dir_deriv_from_dec(dec, Hs)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(D[idx], _dir_deriv_from_dec(dec, Hs[idx]))
 
 
 def test_dir_deriv_at_definite_points():

@@ -59,6 +59,26 @@ def test_svec_rejects_nonsquare():
         smat(np.zeros(4))
 
 
+def test_svec_smat_stacks_match_single_matrices():
+    rng = np.random.default_rng(5)
+    for shape in ((4,), (2, 3)):
+        mats = np.array([_sym(5, rng) for _ in range(int(np.prod(shape)))])
+        mats = mats.reshape(shape + (5, 5))
+        vecs = svec(mats)
+        assert vecs.shape == shape + (tri_len(5),)
+        # C order matters: BLAS sums a transposed layout in another order
+        assert vecs.flags.c_contiguous
+        back = smat(vecs)
+        for idx in np.ndindex(*shape):
+            assert np.array_equal(vecs[idx], svec(mats[idx]))
+            assert np.array_equal(back[idx], smat(vecs[idx]))
+
+
+def test_svec_smat_empty_stacks():
+    assert smat(np.zeros((0, tri_len(3)))).shape == (0, 3, 3)
+    assert svec(np.zeros((0, 3, 3))).shape == (0, tri_len(3))
+
+
 @given(sym_matrices())
 @settings(max_examples=60, deadline=None)
 def test_svec_smat_roundtrip(A):
