@@ -13,9 +13,9 @@ import numpy as np
 from spectraproj import (
     NewtonOptions,
     fixture_dual_gap_face,
-    fr_loop,
     newton_solve,
     primal_objective,
+    solve_with_reduction,
 )
 
 inst = fixture_dual_gap_face()
@@ -28,14 +28,16 @@ for k in (10, 50, 100, 250, 500):
     it = trace.iterates[k]
     print("  k=%3d  |y|=%9.2f  relres=%.2e" % (k, np.linalg.norm(it.y), it.relres))
 
-# one reduction round, then the solve is immediate and lifting recovers
-# the true optimum
-chain, final = fr_loop(inst)
-lifted = chain.V @ newton_solve(final).triple.X @ chain.V.T
+# the stall yields a certificate; one reduction round, then the solve is
+# immediate and lifting back to the original coordinates recovers the true
+# optimum
+res = solve_with_reduction(inst, NewtonOptions(max_iter=500))
 print()
-print("reduced order        ", final.n)
-print("lifted solution      ", np.round(lifted, 12).tolist())
-print("objective            ", primal_objective(inst, lifted))
+print("reduction rounds     ", res.chain.sd_hat)
+print("reduced order        ", res.rounds[-1].inst.n)
+print("final status         ", res.rounds[-1].trace.status.value)
+print("lifted solution      ", np.round(res.X, 12).tolist())
+print("objective            ", primal_objective(inst, res.X))
 print("planted optimal value", 1.0)
 
 # the command line drives the same pipeline and writes the artifacts:

@@ -9,7 +9,7 @@ Subpackage map:
 * :mod:`.symcore`    symmetric-matrix kernel (stack-aware svec/smat, spectral splits, projections)
 * :mod:`.model`      problem data, residuals, duality, instance files
 * :mod:`.ssnewton`   the regularized semismooth Newton solver and its trace
-* :mod:`.facialred`  auxiliary-system certificates and the facial-reduction loop
+* :mod:`.facialred`  certificates, the facial-reduction loop, solve with reduction
 * :mod:`.degeneracy` nondegeneracy rank test and the Jacobian crosscheck
 * :mod:`.instances`  generators and closed-form fixtures
 * :mod:`.cli`        command-line front end
@@ -54,12 +54,14 @@ from .facialred import (
     AuxCertificate,
     FaceChain,
     FaceCollapsedError,
+    ReductionResult,
     certificate_from_stall,
     check_independence,
     fr_loop,
     fr_report,
     fr_step,
     solve_aux_gauss_newton,
+    solve_with_reduction,
 )
 from .degeneracy import (
     CrosscheckReport,

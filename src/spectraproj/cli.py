@@ -23,14 +23,7 @@ import numpy as np
 
 from . import __version__
 from .degeneracy import FEAS_TOL, is_nondegenerate, jacobian_degeneracy_crosscheck
-from .facialred import (
-    FaceCollapsedError,
-    certificate_from_stall,
-    fr_loop,
-    fr_report,
-    fr_step,
-    solve_aux_gauss_newton,
-)
+from .facialred import FaceCollapsedError, fr_loop, fr_report, solve_with_reduction
 from .instances import (
     FAMILIES,
     NOSLATER_SUITE,
@@ -42,20 +35,13 @@ from .model import (
     BapInstance,
     InfeasibleManifoldError,
     dumps_json,
-    instance_to_dict,
     kkt_residuals,
     load_instance,
     preprocess_surjective,
     primal_objective,
     save_instance,
 )
-from .ssnewton import (
-    NewtonOptions,
-    NewtonStatus,
-    NewtonTrace,
-    newton_solve,
-    trace_to_csv,
-)
+from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, newton_solve, trace_to_csv
 from .symcore import smat, svec
 
 EXIT_OK = 0
@@ -97,13 +83,11 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
         return inst
     if args.gen is None:
         raise SystemExit("either --instance PATH or --gen FAMILY is required")
-    extras: dict[str, Any] = {}
-    if args.sd is not None:
-        extras["sd"] = args.sd
-    if args.iips is not None:
-        extras["iips"] = args.iips
-    if args.support is not None:
-        extras["support"] = args.support
+    extras = {
+        key: val
+        for key, val in (("sd", args.sd), ("iips", args.iips), ("support", args.support))
+        if val is not None
+    }
     spec = GeneratorSpec(
         family=args.gen,
         n=args.n,
@@ -147,14 +131,19 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
     _write_text(path, dumps_json(payload) + "\n")
 
 
-def _solve_summary(inst: BapInstance, trace: NewtonTrace) -> dict[str, Any]:
-    res = kkt_residuals(inst, trace.triple)
+def _trace_summary(trace: NewtonTrace) -> dict[str, Any]:
     return {
         "status": trace.status.value,
         "iterations": trace.k_final,
         "relres": trace.relres_final,
         "cond": trace.cond_final,
-        "kkt": res,
+    }
+
+
+def _solve_summary(inst: BapInstance, trace: NewtonTrace) -> dict[str, Any]:
+    return {
+        **_trace_summary(trace),
+        "kkt": kkt_residuals(inst, trace.triple),
         "p_star": primal_objective(inst, trace.triple.X),
     }
 
@@ -191,59 +180,35 @@ def cmd_fr(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    """Solve; on a stall, extract a certificate, restrict the face, repeat.
+    """Render :func:`solve_with_reduction` against the original instance.
 
-    The final iterate of the last round is lifted back to the original
-    coordinates through the composed facial range matrix, and the primal-side
-    quantities are reported against the original instance.
+    Writes one trace per round and a report of the rounds, the lifted final
+    iterate and, when that point is feasible enough, the rank test there.
     """
     inst = _resolve_instance(args)
-    opts = _options_from_args(args)
+    res = solve_with_reduction(inst, _options_from_args(args))
     out = Path(args.out)
-    current = inst
-    V = np.eye(inst.n)
     rounds: list[dict[str, Any]] = []
-    trace: NewtonTrace | None = None
-    for rnd in range(inst.n + 1):
-        trace = newton_solve(current, opts=opts)
+    for rnd, r in enumerate(res.rounds):
         if "trace" in args.emit:
-            _write_text(out / f"round_{rnd}_trace.csv", trace_to_csv(trace))
-        entry: dict[str, Any] = {
-            "round": rnd,
-            "n": current.n,
-            "m": current.m,
-            "status": trace.status.value,
-            "iterations": trace.k_final,
-            "relres": trace.relres_final,
-            "cond": trace.cond_final,
-        }
-        if trace.status == NewtonStatus.SOLVED:
-            rounds.append(entry)
-            break
-        lam0 = certificate_from_stall(trace, current)
-        cert = solve_aux_gauss_newton(current, lam0=lam0)
-        if cert is None:
-            entry["certificate"] = None
-            rounds.append(entry)
-            break
-        reduced, Q, removed = fr_step(current, cert)
-        entry["certificate"] = cert.lam
-        entry["rows_removed"] = removed
+            _write_text(out / f"round_{rnd}_trace.csv", trace_to_csv(r.trace))
+        entry = {"round": rnd, "n": r.inst.n, "m": r.inst.m, **_trace_summary(r.trace)}
+        if r.trace.status != NewtonStatus.SOLVED:
+            entry["certificate"] = None if r.step is None else r.step.lam
+            if r.step is not None:
+                entry["rows_removed"] = r.step.rows_removed
         rounds.append(entry)
-        V = V @ Q
-        current = reduced
-    assert trace is not None
-    X_lift = V @ trace.triple.X @ V.T
-    pf = np.linalg.norm(inst.map.apply(X_lift) - inst.b) / (1.0 + np.linalg.norm(inst.b))
+    trace, X_lift = res.rounds[-1].trace, res.X
+    pf = float(np.linalg.norm(inst.map.apply(X_lift) - inst.b) / (1.0 + np.linalg.norm(inst.b)))
     report: dict[str, Any] = {
         "config": _config_echo(args),
         "rounds": rounds,
         "fr_rounds": len(rounds) - 1,
         "status": trace.status.value,
         "X_star": svec(X_lift),
-        "pf": float(pf),
+        "pf": pf,
         "p_star": primal_objective(inst, X_lift),
-        "reduced": _solve_summary(current, trace),
+        "reduced": _solve_summary(res.rounds[-1].inst, trace),
     }
     if pf <= FEAS_TOL:
         report["degeneracy"] = is_nondegenerate(inst, X_lift).to_dict()
@@ -252,7 +217,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         report["degeneracy"] = None
         report["infeasible"] = {
             "reason": f"lifted pf {pf:.3e} exceeds the rank test's tolerance {FEAS_TOL:g}",
-            "pf": float(pf),
+            "pf": pf,
         }
     if "report" in args.emit:
         _write_json(out / "report.json", report)
@@ -362,34 +327,33 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
     }
 
 
+def _table(cols: list[str], rows: list[list[str]]) -> tuple[str, str]:
+    """Markdown and CSV renderings of one table of formatted cells."""
+    md = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
+    md += ["| " + " | ".join(row) + " |" for row in rows]
+    csv = [",".join(row) for row in [cols, *rows]]
+    return "\n".join(md) + "\n", "\n".join(csv) + "\n"
+
+
 def _cells_to_tables(cells: list[dict[str, Any]]) -> tuple[str, str, str, str]:
     """Markdown and CSV renderings of a suite: main table and percentages."""
-    cols = ["cell", "runs", "pf", "df", "cs", "k", "time", "cond"]
-    md = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    csv = [",".join(cols)]
-    for c in cells:
-        agg = c["agg"]
-        fmt = [
-            c["cell"], str(agg["runs"]),
-            f"{agg['pf']:.2e}", f"{agg['df']:.2e}", f"{agg['cs']:.2e}",
-            f"{agg['k']:.1f}", f"{agg['time']:.4f}", f"{agg['cond']:.2e}",
-        ]
-        md.append("| " + " | ".join(fmt) + " |")
-        csv.append(",".join(fmt))
-    pcols = ["cell", "pct_1e-8", "pct_1e-13"]
-    pmd = ["| " + " | ".join(pcols) + " |", "|" + "---|" * len(pcols)]
-    pcsv = [",".join(pcols)]
-    for c in cells:
-        agg = c["agg"]
-        fmt = [c["cell"], f"{agg['pct_1e-8']:.0f}", f"{agg['pct_1e-13']:.0f}"]
-        pmd.append("| " + " | ".join(fmt) + " |")
-        pcsv.append(",".join(fmt))
-    return (
-        "\n".join(md) + "\n",
-        "\n".join(csv) + "\n",
-        "\n".join(pmd) + "\n",
-        "\n".join(pcsv) + "\n",
+    aggs = [(c["cell"], c["agg"]) for c in cells]
+    md, csv = _table(
+        ["cell", "runs", "pf", "df", "cs", "k", "time", "cond"],
+        [
+            [
+                cell, str(agg["runs"]),
+                f"{agg['pf']:.2e}", f"{agg['df']:.2e}", f"{agg['cs']:.2e}",
+                f"{agg['k']:.1f}", f"{agg['time']:.4f}", f"{agg['cond']:.2e}",
+            ]
+            for cell, agg in aggs
+        ],
     )
+    pmd, pcsv = _table(
+        ["cell", "pct_1e-8", "pct_1e-13"],
+        [[cell, f"{agg['pct_1e-8']:.0f}", f"{agg['pct_1e-13']:.0f}"] for cell, agg in aggs],
+    )
+    return md, csv, pmd, pcsv
 
 
 def _suite_cells(suite: str, seeds: int, base_seed: int) -> list[dict[str, Any]]:
@@ -453,51 +417,45 @@ def _run_singularity_demo(args: argparse.Namespace) -> int:
     from .instances import gen_planted_noslater
 
     out = Path(args.out)
-    opts = _options_from_args(args)
     inst = gen_planted_noslater(
         15, 7, sd_target=1, iips_target=1, support_size=5, seed=args.seed
     )
-    before = newton_solve(inst, opts=opts)
-    lam0 = certificate_from_stall(before, inst)
-    cert = solve_aux_gauss_newton(inst, lam0=lam0)
-    if cert is None:
-        print("no certificate found; nothing to repair", file=sys.stderr)
+    res = solve_with_reduction(inst, _options_from_args(args))
+    if len(res.rounds) == 1:
+        status = res.rounds[0].trace.status.value
+        print(f"round 0 ended {status} with no reduction; nothing to repair", file=sys.stderr)
         return EXIT_FAILURE
-    reduced, Q, removed = fr_step(inst, cert)
-    after = newton_solve(reduced, opts=opts)
+    first, last = res.rounds[0], res.rounds[-1]
     if "trace" in args.emit:
-        _write_text(out / "before_trace.csv", trace_to_csv(before))
-        _write_text(out / "after_trace.csv", trace_to_csv(after))
-    rows = [
-        ("before", before, inst),
-        ("after", after, reduced),
-    ]
-    cols = ["phase", "n", "m", "status", "k", "relres", "cond"]
-    md = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    csv = [",".join(cols)]
-    for label, tr, ins in rows:
-        fmt = [
-            label, str(ins.n), str(ins.m), tr.status.value,
-            str(tr.k_final), f"{tr.relres_final:.4e}", f"{tr.cond_final:.4e}",
-        ]
-        md.append("| " + " | ".join(fmt) + " |")
-        csv.append(",".join(fmt))
+        _write_text(out / "before_trace.csv", trace_to_csv(first.trace))
+        _write_text(out / "after_trace.csv", trace_to_csv(last.trace))
+    md, csv = _table(
+        ["phase", "n", "m", "status", "k", "relres", "cond"],
+        [
+            [
+                label, str(r.inst.n), str(r.inst.m), r.trace.status.value,
+                str(r.trace.k_final), f"{r.trace.relres_final:.4e}", f"{r.trace.cond_final:.4e}",
+            ]
+            for label, r in (("before", first), ("after", last))
+        ],
+    )
     if "table" in args.emit:
-        _write_text(out / "singularity_demo.md", "\n".join(md) + "\n")
-        _write_text(out / "singularity_demo.csv", "\n".join(csv) + "\n")
+        _write_text(out / "singularity_demo.md", md)
+        _write_text(out / "singularity_demo.csv", csv)
     if "report" in args.emit:
+        before, after = first.trace, last.trace
         _write_json(
             out / "singularity_demo.json",
             {
                 "config": _config_echo(args),
-                "rows_removed": removed,
+                "rows_removed": first.step.rows_removed,
                 "before": {"status": before.status.value, "k": before.k_final,
                            "relres": before.relres_final, "cond": before.cond_final},
                 "after": {"status": after.status.value, "k": after.k_final,
                           "relres": after.relres_final, "cond": after.cond_final},
             },
         )
-    print("\n".join(md))
+    print(md, end="")
     return EXIT_OK
 
 

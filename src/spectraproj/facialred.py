@@ -18,7 +18,8 @@ from typing import Any
 import numpy as np
 
 from .model import BapInstance, LinearMap, preprocess_surjective, residual_F_face
-from .ssnewton import NewtonStatus, NewtonTrace, _dir_deriv_from_dec, jacobian
+from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, jacobian, newton_solve
+from .ssnewton import _dir_deriv_from_dec
 from .symcore import DEFAULT_ZERO_TOL, eig_sym, svec
 
 
@@ -63,8 +64,14 @@ class FrStep:
 class FaceChain:
     """Composed outcome of a facial-reduction loop."""
 
-    V: np.ndarray            # n x r basis of the final face in original coordinates
+    V: np.ndarray            # n x r basis of the current face in original coordinates
+    kept: np.ndarray         # mask over the original rows still present
     steps: list[FrStep] = field(default_factory=list)
+
+    @classmethod
+    def start(cls, inst: BapInstance) -> FaceChain:
+        """The empty chain: the whole cone and every row of ``inst``."""
+        return cls(V=np.eye(inst.n), kept=np.ones(inst.m, dtype=bool))
 
     @property
     def sd_hat(self) -> int:
@@ -73,6 +80,40 @@ class FaceChain:
     @property
     def iips_hat(self) -> int:
         return sum(len(s.rows_removed) for s in self.steps)
+
+    def restrict(self, inst: BapInstance, cert: AuxCertificate) -> BapInstance:
+        """One round: validate ``cert``, restrict ``inst`` to its face, record the step.
+
+        ``inst`` is the chain's current instance; the reduced one is returned
+        and ``V`` and ``kept`` are updated to it.
+        """
+        cert.validate(inst.b)
+        reduced, Q, removed = fr_step(inst, cert)
+        rows = np.flatnonzero(self.kept)
+        lifted = np.zeros(self.kept.size)
+        lifted[rows] = cert.lam
+        self.kept[rows[removed]] = False
+        self.V = self.V @ Q
+        self.steps.append(FrStep(cert.lam, lifted, Q, removed, reduced.n, cert.residual))
+        return reduced
+
+
+@dataclass
+class ReductionRound:
+    """One Newton solve of a reduction run and the reduction that followed it."""
+
+    inst: BapInstance
+    trace: NewtonTrace
+    step: FrStep | None      # None on the last round
+
+
+@dataclass
+class ReductionResult:
+    """Outcome of :func:`solve_with_reduction`."""
+
+    rounds: list[ReductionRound]
+    chain: FaceChain
+    X: np.ndarray            # last round's primal iterate lifted: V X V'
 
 
 def _aux_residual(inst: BapInstance, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,11 +289,7 @@ def certificate_from_stall(trace: NewtonTrace, inst: BapInstance) -> np.ndarray:
     return lam
 
 
-def fr_step(
-    inst: BapInstance,
-    cert: AuxCertificate,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> tuple[BapInstance, np.ndarray, list[int]]:
+def fr_step(inst: BapInstance, cert: AuxCertificate) -> tuple[BapInstance, np.ndarray, list[int]]:
     """Restrict the instance to the face exposed by a certificate.
 
     The face is spanned by the (thresholded) null space Q of the psd part of
@@ -261,7 +298,7 @@ def fr_step(
     Raises :class:`FaceCollapsedError` when the exposing matrix has full-rank
     positive part.
     """
-    dec = eig_sym(cert.Z, zero_tol=zero_tol)
+    dec = eig_sym(cert.Z, zero_tol=DEFAULT_ZERO_TOL)
     keep = sorted(dec.beta + dec.gamma)
     if not keep:
         raise FaceCollapsedError("exposing matrix is positive definite; face is {0}")
@@ -274,49 +311,50 @@ def fr_step(
     return reduced, Q, removed
 
 
-def fr_loop(
-    inst: BapInstance,
-    lam0: np.ndarray | None = None,
-    restarts: int = 20,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> tuple[FaceChain, BapInstance]:
-    """Alternate certificate search and face restriction until none is found.
+def fr_loop(inst: BapInstance) -> tuple[FaceChain, BapInstance]:
+    """Alternate cold certificate search and face restriction until none is found.
 
-    ``lam0`` warm-starts the first round only (it usually comes from a stalled
-    Newton run).  Returns the composed chain and the final reduced instance,
-    on which strict feasibility is expected to hold.
+    At most ``inst.n`` rounds.  Returns the composed chain and the final
+    reduced instance, on which strict feasibility is expected to hold.
     """
+    chain = FaceChain.start(inst)
     current = inst
-    V = np.eye(inst.n)
-    kept_orig = list(range(inst.m))
-    steps: list[FrStep] = []
-    warm = lam0
     for _ in range(inst.n):
-        cert = solve_aux_gauss_newton(current, lam0=warm, restarts=restarts)
-        warm = None
+        cert = solve_aux_gauss_newton(current)
         if cert is None:
             break
-        cert.validate(current.b)
-        reduced, Q, removed = fr_step(current, cert, zero_tol=zero_tol)
-        lifted = np.zeros(inst.m)
-        lifted[kept_orig] = cert.lam
-        steps.append(
-            FrStep(
-                lam=cert.lam,
-                lam_lifted=lifted,
-                Q=Q,
-                rows_removed=removed,
-                r_after=reduced.n,
-                residual=cert.residual,
-            )
-        )
-        V = V @ Q
-        removed_set = set(removed)
-        kept_orig = [g for i, g in enumerate(kept_orig) if i not in removed_set]
+        current = chain.restrict(current, cert)
+    return chain, current
+
+
+def solve_with_reduction(
+    inst: BapInstance, opts: NewtonOptions | None = None
+) -> ReductionResult:
+    """Solve; on every stall, restrict to the face the stall exposes and solve again.
+
+    Each round runs :func:`newton_solve` on the current instance.  A round that
+    does not solve warm-starts the certificate search from its stall; the
+    certificate restricts the instance through the chain and the next round
+    solves the reduced problem.  The run ends at the first round that solves
+    or finds no certificate, after at most ``inst.n`` reductions.  The last
+    round's primal iterate is lifted back to the original coordinates.
+    """
+    chain = FaceChain.start(inst)
+    rounds: list[ReductionRound] = []
+    current = inst
+    while True:
+        trace = newton_solve(current, opts=opts)
+        cert = None
+        if trace.status != NewtonStatus.SOLVED and chain.sd_hat < inst.n:
+            lam0 = certificate_from_stall(trace, current)
+            cert = solve_aux_gauss_newton(current, lam0=lam0)
+        if cert is None:
+            rounds.append(ReductionRound(current, trace, None))
+            break
+        reduced = chain.restrict(current, cert)
+        rounds.append(ReductionRound(current, trace, chain.steps[-1]))
         current = reduced
-        if current.n == 0:
-            raise FaceCollapsedError("face shrank to dimension zero")
-    return FaceChain(V=V, steps=steps), current
+    return ReductionResult(rounds, chain, X=chain.V @ trace.triple.X @ chain.V.T)
 
 
 def check_independence(

@@ -5,6 +5,7 @@ import pytest
 
 from spectraproj.cli import (
     EXIT_FACE_ZERO,
+    EXIT_FAILURE,
     EXIT_INFEASIBLE,
     EXIT_OK,
     main,
@@ -284,3 +285,12 @@ def test_singularity_walk_artifacts(tmp_path, capsys):
     assert len(rep["rows_removed"]) == 1
     assert (out / "before_trace.csv").exists()
     assert (out / "after_trace.csv").exists()
+
+
+def test_singularity_walk_without_a_stall_has_nothing_to_repair(tmp_path, capsys):
+    # at a loose tolerance round 0 solves, so there is no stall to reduce
+    out = tmp_path / "demo"
+    code = _run("experiment", "singularity_demo", "--eps", "1e-5", "--out", str(out))
+    assert code == EXIT_FAILURE
+    assert "nothing to repair" in capsys.readouterr().err
+    assert not out.exists()

@@ -12,6 +12,7 @@ from spectraproj.facialred import (
     fr_report,
     fr_step,
     solve_aux_gauss_newton,
+    solve_with_reduction,
 )
 from spectraproj.instances import (
     fixture_dual_gap_face,
@@ -19,7 +20,7 @@ from spectraproj.instances import (
     gen_planted_noslater,
     gen_random_slater,
 )
-from spectraproj.model import BapInstance, LinearMap, kkt_residuals
+from spectraproj.model import BapInstance, LinearMap, kkt_residuals, primal_objective
 from spectraproj.ssnewton import NewtonStatus, jacobian, newton_solve
 from spectraproj.symcore import smat, svec
 
@@ -226,3 +227,32 @@ def test_stall_then_reduce_then_solve():
     again = newton_solve(reduced)
     assert again.status == NewtonStatus.SOLVED
     assert again.k_final <= 25
+
+
+def test_solve_with_reduction_on_the_two_step_chain():
+    inst = fixture_sd2_chain()
+    res = solve_with_reduction(inst)
+    assert res.chain.sd_hat == 2
+    assert len(res.rounds) == 3
+    assert [r.step is None for r in res.rounds] == [False, False, True]
+    assert [r.inst.n for r in res.rounds] == [3, 2, 1]
+    assert res.rounds[-1].trace.status == NewtonStatus.SOLVED
+    e1 = np.array([1.0, 0.0, 0.0])
+    assert np.allclose(res.X, np.outer(e1, e1), atol=1e-10)
+    assert primal_objective(inst, res.X) == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(inst.map.apply(res.X), inst.b, atol=1e-12)
+    assert check_independence(res.chain)
+    y_root = np.asarray(inst.meta["planted"]["y_root"], dtype=float)
+    assert check_independence(res.chain, inst=inst, y_root=y_root)
+    # the same rows are dropped as by the certificate-only loop
+    chain, _ = fr_loop(inst)
+    assert [s.rows_removed for s in res.chain.steps] == [s.rows_removed for s in chain.steps]
+    assert res.chain.kept.tolist() == [True, False, False]
+
+
+def test_solve_with_reduction_stops_at_a_clean_solve():
+    inst = gen_random_slater(6, 8, seed=2)
+    res = solve_with_reduction(inst)
+    assert len(res.rounds) == 1 and res.rounds[0].step is None
+    assert res.chain.sd_hat == 0
+    assert np.array_equal(res.X, res.rounds[0].trace.triple.X)
