@@ -8,8 +8,6 @@ root of a map F on the multipliers, and each Newton step needs just one
 eigendecomposition.
 """
 
-import numpy as np
-
 from spectraproj import (
     gen_random_slater,
     kkt_residuals,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 solver or linear-algebra failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -234,9 +235,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     report: dict[str, Any] = {"config": _config_echo(args)}
     X: np.ndarray | None = None
     if args.x_json is not None:
-        payload = np.array(
-            __import__("json").loads(Path(args.x_json).read_text())["X"], dtype=float
-        )
+        payload = np.array(json.loads(Path(args.x_json).read_text())["X"], dtype=float)
         X = payload if payload.ndim == 2 else smat(payload)
     elif args.at_planted:
         planted = inst.meta.get("planted", {})

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import BapInstance
 from .ssnewton import NewtonTrace
-from .symcore import eig_sym, svec
+from .symcore import eig_sym
 
 RANK_TOL = 1e-8
 #: largest scaled residual ||A(X) - b|| / (1 + ||b||) the rank test accepts
@@ -50,41 +50,41 @@ class DegeneracyReport:
         }
 
 
-def _feasibility_guard(inst: BapInstance, X: np.ndarray, feas_tol: float) -> np.ndarray:
+def _feasibility_guard(inst: BapInstance, X: np.ndarray) -> np.ndarray:
     X = 0.5 * (np.asarray(X, dtype=float) + np.asarray(X, dtype=float).T)
     e = np.linalg.eigvalsh(X)
     scale = max(1.0, abs(e[-1]))
     if e[0] < -1e-9 * scale:
         raise ValueError(f"X is not psd enough for a rank split: min eig {e[0]:.3e}")
     pf = np.linalg.norm(inst.map.apply(X) - inst.b) / (1.0 + np.linalg.norm(inst.b))
-    if pf > feas_tol:
+    if pf > FEAS_TOL:
         raise ValueError(f"X violates the linear constraints: scaled residual {pf:.3e}")
     return X
 
 
-def build_L(inst: BapInstance, X: np.ndarray, feas_tol: float = FEAS_TOL) -> np.ndarray:
+def build_L(inst: BapInstance, X: np.ndarray) -> np.ndarray:
     """Nondegeneracy test matrix at a feasible X.
 
     Column i stacks svec(V' A_i V) over sqrt(2) * vec(V' A_i Vbar), where V
     spans the positive eigenspace of X (relative threshold ``RANK_TOL``) and
     Vbar the rest; the block that the definition zeroes out is omitted.  The
     scaling keeps the stacked column an isometric image of the two blocks.
+    X must be psd and satisfy the constraints to ``FEAS_TOL``.
     """
-    L, _, _ = _build_L_split(inst, X, feas_tol)
+    L, _, _ = _build_L_split(inst, X)
     return L
 
 
 def _build_L_split(
-    inst: BapInstance, X: np.ndarray, feas_tol: float = FEAS_TOL
+    inst: BapInstance, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    X = _feasibility_guard(inst, X, feas_tol)
+    X = _feasibility_guard(inst, X)
     dec = eig_sym(X, zero_tol=RANK_TOL)
     r = len(dec.alpha)
     V = dec.U[:, :r]
     Vbar = dec.U[:, r:]
-    mats = inst.map.matrices()
-    top = svec(V.T @ mats @ V)
-    mid = np.sqrt(2.0) * (V.T @ mats @ Vbar).reshape(inst.m, r * (inst.n - r))
+    top = inst.map.restrict(V).rows
+    mid = np.sqrt(2.0) * (V.T @ inst.map.matrices() @ Vbar).reshape(inst.m, r * (inst.n - r))
     return np.hstack([top, mid]).T, V, Vbar
 
 
@@ -98,10 +98,9 @@ def is_nondegenerate(
     inst: BapInstance,
     X: np.ndarray,
     Z: np.ndarray | None = None,
-    feas_tol: float = FEAS_TOL,
 ) -> DegeneracyReport:
     """Rank verdict at a feasible X, with strict complementarity when Z is given."""
-    L, V, _ = _build_L_split(inst, X, feas_tol)
+    L, V, _ = _build_L_split(inst, X)
     sv = np.linalg.svd(L, compute_uv=False)
     rank_L = _rank(sv)
     full = rank_L == inst.m
@@ -148,18 +147,18 @@ class CrosscheckReport:
 def jacobian_degeneracy_crosscheck(
     inst: BapInstance,
     trace: NewtonTrace,
-    feas_tol: float = 1e-6,
     X: np.ndarray | None = None,
 ) -> CrosscheckReport:
     """Compare the rank verdict at the terminal X with Newton-matrix invertibility.
 
     The equivalence between the two is a statement about optima with strict
     complementarity; the result is flagged inconclusive when the terminal
-    iterate is too infeasible for the rank test to mean anything or when
-    strict complementarity fails, and the raw disagreement is preserved rather
-    than patched over.  When the run stalled short of feasibility but the
-    optimum is known (a planted vertex, say), pass it as ``X`` to rank-test
-    there while still judging the Newton matrix from the trace.
+    iterate is off the constraints by more than ``FEAS_TOL``, where the rank
+    test refuses to judge it, or when strict complementarity fails, and the
+    raw disagreement is preserved rather than patched over.  When the run
+    stalled short of feasibility but the optimum is known (a planted vertex,
+    say), pass it as ``X`` to rank-test there while still judging the Newton
+    matrix from the trace.
     """
     Z = trace.triple.Z
     X = trace.triple.X if X is None else np.asarray(X, dtype=float)
@@ -167,7 +166,7 @@ def jacobian_degeneracy_crosscheck(
     ratio = float(eig_J[-1] / eig_J[0]) if eig_J.size and eig_J[0] > 0 else 0.0
     nonsing = ratio > RANK_TOL
     pf = np.linalg.norm(inst.map.apply(X) - inst.b) / (1.0 + np.linalg.norm(inst.b))
-    if pf > feas_tol:
+    if pf > FEAS_TOL:
         stub = DegeneracyReport(
             rank_L=0, m=inst.m, verdict="Degenerate",
             singular_values=np.zeros(0), margin=0.0, rank_X=0,
@@ -177,7 +176,7 @@ def jacobian_degeneracy_crosscheck(
             agree=False, inconclusive=True,
             reason=f"terminal iterate infeasible (pf {pf:.3e}); rank test skipped",
         )
-    rep = is_nondegenerate(inst, X, Z=Z, feas_tol=feas_tol)
+    rep = is_nondegenerate(inst, X, Z=Z)
     agree = (rep.verdict == "Nondegenerate") == nonsing
     inconclusive = not bool(rep.strict_complementarity)
     reason = "" if not inconclusive else "strict complementarity fails at the terminal triple"

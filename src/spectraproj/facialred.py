@@ -17,10 +17,13 @@ from typing import Any
 
 import numpy as np
 
-from .model import BapInstance, LinearMap, preprocess_surjective, residual_F_face
+from .model import BapInstance, preprocess_surjective, residual_F_face
 from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, jacobian, newton_solve
 from .ssnewton import _dir_deriv_from_dec
-from .symcore import DEFAULT_ZERO_TOL, eig_sym, svec
+from .symcore import eig_sym, svec
+
+#: residual a certificate must reach, and the slack its checks allow
+CERT_TOL = 1e-9
 
 
 class FaceCollapsedError(Exception):
@@ -36,13 +39,13 @@ class AuxCertificate:
     residual: float
     b_inner: float
 
-    def validate(self, b: np.ndarray, tol: float = 1e-9) -> None:
+    def validate(self, b: np.ndarray) -> None:
         if abs(np.linalg.norm(self.lam) - 1.0) > 1e-8:
             raise ValueError("certificate multiplier is not unit norm")
         eZ = np.linalg.eigvalsh(0.5 * (self.Z + self.Z.T))
-        if eZ.size and eZ[0] < -tol * max(1.0, abs(eZ[-1])):
+        if eZ.size and eZ[0] < -CERT_TOL * max(1.0, abs(eZ[-1])):
             raise ValueError(f"exposing matrix is not psd: min eig {eZ[0]:.3e}")
-        if abs(self.b_inner) > tol * (1.0 + np.linalg.norm(b)):
+        if abs(self.b_inner) > CERT_TOL * (1.0 + np.linalg.norm(b)):
             raise ValueError("certificate is not orthogonal to b")
         if np.linalg.norm(self.Z) < 1e-8:
             raise ValueError("exposing matrix is numerically zero")
@@ -125,15 +128,16 @@ def _aux_residual(inst: BapInstance, lam: np.ndarray) -> tuple[np.ndarray, np.nd
     return r, M
 
 
-def _aux_jacobian(inst: BapInstance, lam: np.ndarray, mats: np.ndarray) -> np.ndarray:
+def _aux_jacobian(inst: BapInstance, lam: np.ndarray) -> np.ndarray:
     # residual row block is svec(M - P(M)); its derivative in lam_j is
-    # svec(A_j - P'(M; A_j)), with mats the (m, n, n) stack of the A_j
-    dec = eig_sym(inst.map.adjoint(lam), zero_tol=DEFAULT_ZERO_TOL)
+    # svec(A_j - P'(M; A_j))
+    mats = inst.map.matrices()
+    dec = eig_sym(inst.map.adjoint(lam))
     return np.vstack([svec(mats - _dir_deriv_from_dec(dec, mats)).T, inst.b])
 
 
 def _polish_certificate(
-    inst: BapInstance, lam: np.ndarray, rn: float, mats: np.ndarray
+    inst: BapInstance, lam: np.ndarray, rn: float
 ) -> tuple[np.ndarray, float]:
     """Snap a near-certificate onto the exact face it is trying to expose.
 
@@ -143,7 +147,7 @@ def _polish_certificate(
     the face.  For a few candidate rank cuts this solves the exact linear
     system (complement block of A* vanishes, b-orthogonality) and keeps the
     null vector closest to ``lam`` whenever that strictly improves the
-    residual.  ``mats`` is the (m, n, n) stack of constraint matrices.
+    residual.
     """
     best_lam, best_rn = lam, rn
     for theta in (1e-4, 1e-6, 1e-8):
@@ -161,7 +165,7 @@ def _polish_certificate(
             if k == 0 or k == inst.n:
                 break
             N = U[:, keep]
-            K = np.vstack([svec(N.T @ mats @ N).T, inst.b])
+            K = np.vstack([inst.map.restrict(N).rows.T, inst.b])
             _, sig, Vt = np.linalg.svd(K, full_matrices=True)
             null_mask = np.zeros(inst.m, dtype=bool)
             null_mask[len(sig):] = True
@@ -184,11 +188,7 @@ def _polish_certificate(
 
 
 def solve_aux_gauss_newton(
-    inst: BapInstance,
-    lam0: np.ndarray | None = None,
-    restarts: int = 20,
-    max_iter: int = 60,
-    tol: float = 1e-9,
+    inst: BapInstance, lam0: np.ndarray | None = None
 ) -> AuxCertificate | None:
     """Search for an auxiliary-system certificate by projected Gauss-Newton.
 
@@ -198,10 +198,11 @@ def solve_aux_gauss_newton(
     one, so the unconstrained least-squares step is always the useless
     direction -lam (Euler's identity); the step is therefore restricted to the
     tangent space of the sphere at the current point.  Deterministic
-    multi-start: the optional warm start first, then ``restarts`` unit
-    Gaussians seeded from the instance seed.  Returns None when no start
-    reaches residual ``tol`` with a nontrivially nonzero exposing matrix; on a
-    feasible instance that outcome is evidence of strict feasibility.
+    multi-start: the optional warm start first, then 20 unit Gaussians seeded
+    from the instance seed, each run for at most 60 steps.  Returns None when
+    no start reaches residual ``CERT_TOL`` with a nontrivially nonzero
+    exposing matrix; on a feasible instance that outcome is evidence of strict
+    feasibility.
     """
     m = inst.m
     if m == 0:
@@ -213,19 +214,18 @@ def solve_aux_gauss_newton(
         lam0 = np.asarray(lam0, dtype=float)
         if np.linalg.norm(lam0) > 0:
             starts.append(lam0 / np.linalg.norm(lam0))
-    for _ in range(restarts):
+    for _ in range(20):
         v = rng.standard_normal(m)
         starts.append(v / np.linalg.norm(v))
 
-    mats = inst.map.matrices()
     for lam in starts:
         lam = lam.copy()
         r, M = _aux_residual(inst, lam)
         rn = float(np.linalg.norm(r))
-        for _ in range(max_iter):
-            if rn <= tol or m == 1:
+        for _ in range(60):
+            if rn <= CERT_TOL or m == 1:
                 break
-            J = _aux_jacobian(inst, lam, mats)
+            J = _aux_jacobian(inst, lam)
             # tangent basis at lam: trailing columns of a full QR of [lam]
             Q, _ = np.linalg.qr(lam.reshape(-1, 1), mode="complete")
             T = Q[:, 1:]
@@ -249,8 +249,8 @@ def solve_aux_gauss_newton(
                 step *= 0.5
             if not improved:
                 break
-        if rn <= tol and np.linalg.norm(M) >= 1e-8:
-            lam, rn = _polish_certificate(inst, lam, rn, mats)
+        if rn <= CERT_TOL and np.linalg.norm(M) >= 1e-8:
+            lam, rn = _polish_certificate(inst, lam, rn)
             M = inst.map.adjoint(lam)
             if np.linalg.norm(M) < 1e-8:
                 continue
@@ -272,7 +272,7 @@ def certificate_from_stall(trace: NewtonTrace, inst: BapInstance) -> np.ndarray:
     if trace.status == NewtonStatus.SOLVED:
         raise ValueError("run converged; there is no stall to extract a certificate from")
     y = trace.triple.y
-    J = jacobian(inst, y, zero_tol=trace.options.zero_tol)
+    J = jacobian(inst, y)
     w, V = np.linalg.eigh(0.5 * (J + J.T))
     lam = V[:, 0].copy()
     lam[np.abs(lam) <= 1e-3 * np.abs(lam).max()] = 0.0
@@ -298,13 +298,12 @@ def fr_step(inst: BapInstance, cert: AuxCertificate) -> tuple[BapInstance, np.nd
     Raises :class:`FaceCollapsedError` when the exposing matrix has full-rank
     positive part.
     """
-    dec = eig_sym(cert.Z, zero_tol=DEFAULT_ZERO_TOL)
+    dec = eig_sym(cert.Z)
     keep = sorted(dec.beta + dec.gamma)
     if not keep:
         raise FaceCollapsedError("exposing matrix is positive definite; face is {0}")
     Q = dec.U[:, keep]
-    amap = LinearMap(n=Q.shape[1], rows=svec(Q.T @ inst.map.matrices() @ Q))
-    red_map, red_b, removed = preprocess_surjective(amap, inst.b)
+    red_map, red_b, removed = preprocess_surjective(inst.map.restrict(Q), inst.b)
     meta = dict(inst.meta)
     meta["reduced_from"] = inst.n
     reduced = BapInstance(map=red_map, b=red_b, W=Q.T @ inst.W @ Q, meta=meta)
@@ -361,13 +360,13 @@ def check_independence(
     chain: FaceChain,
     inst: BapInstance | None = None,
     y_root: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> bool:
     """Verify that the lifted certificates are linearly independent.
 
     When the original instance and a root of the face-restricted residual are
     supplied, additionally verify that shifting the root by any chain
-    certificate keeps the face-restricted residual at zero.
+    certificate keeps the face-restricted residual at zero (to 1e-9 relative
+    to 1 + ||b||).
     """
     if not chain.steps:
         return True
@@ -380,7 +379,7 @@ def check_independence(
         b_scale = 1.0 + np.linalg.norm(inst.b)
         for s in chain.steps:
             F, _ = residual_F_face(inst, np.asarray(y_root) + s.lam_lifted, chain.V)
-            if np.linalg.norm(F) > tol * b_scale:
+            if np.linalg.norm(F) > 1e-9 * b_scale:
                 return False
     return True
 

@@ -24,13 +24,19 @@ class InfeasibleManifoldError(Exception):
 
 @dataclass
 class LinearMap:
-    """Linear map from symmetric order-n matrices to R^m, stored as svec rows."""
+    """Linear map from symmetric order-n matrices to R^m, stored as svec rows.
+
+    The map owns ``rows`` and makes it read-only, so the matrix stack that
+    :meth:`matrices` builds from it once stays valid for the map's lifetime.
+    """
 
     n: int
-    rows: np.ndarray  # (m, tri_len(n))
+    rows: np.ndarray  # (m, tri_len(n)), read-only
+    _mats: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        self.rows.flags.writeable = False
         if self.rows.shape[1] != tri_len(self.n):
             raise ValueError(
                 f"rows have length {self.rows.shape[1]}, expected {tri_len(self.n)}"
@@ -50,8 +56,15 @@ class LinearMap:
         return smat(self.rows[i])
 
     def matrices(self) -> np.ndarray:
-        """All constraint matrices stacked into an (m, n, n) array."""
-        return smat(self.rows)
+        """All constraint matrices stacked into a read-only (m, n, n) array, built once."""
+        if self._mats is None:
+            self._mats = smat(self.rows)
+            self._mats.flags.writeable = False
+        return self._mats
+
+    def restrict(self, Q: np.ndarray) -> LinearMap:
+        """The map restricted to the face range of an (n, k) ``Q``: rows svec(Q' A_i Q)."""
+        return LinearMap(n=Q.shape[1], rows=svec(Q.T @ self.matrices() @ Q))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """A(X), the vector of inner products <A_i, X>."""
@@ -99,19 +112,16 @@ class KktTriple:
 
 
 def preprocess_surjective(
-    amap: LinearMap,
-    b: np.ndarray,
-    rank_tol: float = 1e-9,
-    consistency_tol: float = 1e-9,
+    amap: LinearMap, b: np.ndarray
 ) -> tuple[LinearMap, np.ndarray, list[int]]:
     """Drop dependent rows of A, keeping a maximal independent subset.
 
-    The row rank is decided from singular values (relative threshold
-    ``rank_tol``); which rows survive is decided by column-pivoted QR on the
-    row transpose, so the outcome is deterministic (the pivot prefers
-    larger-norm rows within a dependent group).  Each removed row must be
-    consistent with the kept ones through the same linear combination that
-    reproduces it, otherwise the linear manifold is empty and
+    The row rank is decided from singular values (relative threshold 1e-9);
+    which rows survive is decided by column-pivoted QR on the row transpose,
+    so the outcome is deterministic (the pivot prefers larger-norm rows
+    within a dependent group).  Each removed row must be consistent with the
+    kept ones, to 1e-9 * (1 + ||b||), through the same linear combination
+    that reproduces it, otherwise the linear manifold is empty and
     :class:`InfeasibleManifoldError` is raised.
 
     Returns
@@ -125,7 +135,7 @@ def preprocess_surjective(
         return LinearMap(n=amap.n, rows=rows.reshape(0, tri_len(amap.n))), b, []
 
     sv = scipy.linalg.svdvals(rows)
-    rank = int(np.sum(sv > rank_tol * (sv[0] if sv.size else 0.0)))
+    rank = int(np.sum(sv > 1e-9 * (sv[0] if sv.size else 0.0)))
     if rank == m:
         return amap, b, []
 
@@ -139,7 +149,7 @@ def preprocess_surjective(
     b_scale = 1.0 + np.linalg.norm(b)
     for j, idx in enumerate(removed):
         gap = abs(b[idx] - coeff[:, j] @ b[keep])
-        if gap > consistency_tol * b_scale:
+        if gap > 1e-9 * b_scale:
             raise InfeasibleManifoldError(
                 f"row {idx} is dependent but inconsistent (gap {gap:.3e}); "
                 "infeasible linear manifold"
@@ -190,19 +200,17 @@ def kkt_residuals(inst: BapInstance, triple: KktTriple) -> dict[str, float]:
     }
 
 
-def dual_objective(
-    inst: BapInstance, y: np.ndarray, Z: np.ndarray, cone_tol: float = 1e-9
-) -> float:
+def dual_objective(inst: BapInstance, y: np.ndarray, Z: np.ndarray) -> float:
     """Value of the concave dual functional at a feasible dual pair (y, Z).
 
     phi(y, Z) = -0.5*||Z + A*y||^2 + <y, b - A(W)> - <Z, W>.  Z must be psd up
-    to ``cone_tol`` (relative); weak duality pins phi <= 0.5*||X-W||^2 for any
+    to 1e-9 (relative); weak duality pins phi <= 0.5*||X-W||^2 for any
     primal-feasible X, and the gap closes at an optimal triple.
     """
     Z = np.asarray(Z, dtype=float)
     eZ = np.linalg.eigvalsh(0.5 * (Z + Z.T))
     scale = max(1.0, abs(eZ[-1]))
-    if eZ[0] < -cone_tol * scale:
+    if eZ[0] < -1e-9 * scale:
         raise ValueError(f"Z is not psd: min eigenvalue {eZ[0]:.3e}")
     y = np.asarray(y, dtype=float)
     M = Z + inst.map.adjoint(y)

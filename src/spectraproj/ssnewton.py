@@ -14,13 +14,13 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .model import BapInstance, KktTriple
-from .symcore import DEFAULT_ZERO_TOL, SpectralDecomp, eig_sym, project_psd
+from .model import BapInstance, KktTriple, LinearMap
+from .symcore import SpectralDecomp, eig_sym, project_psd
 
 __all__ = [
     "NewtonOptions",
@@ -72,28 +72,25 @@ def _dir_deriv_from_dec(dec: SpectralDecomp, H: np.ndarray) -> np.ndarray:
     return U @ M @ U.T
 
 
-def dir_deriv_proj(
-    S: np.ndarray, H: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL
-) -> np.ndarray:
+def dir_deriv_proj(S: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Directional derivative of the PSD projection at S in direction H.
 
     Uses the spectral divided-difference form: with the eigenbasis of S split
-    into positive / zero / negative buckets, the derivative keeps the positive
-    block of H, damps the mixed positive-negative block by the omega weights,
-    projects the zero block, and kills the rest.  At a definite S this reduces
-    to H (positive definite) or 0 (negative definite).
+    into positive / zero / negative buckets (relative zero threshold
+    ``symcore.DEFAULT_ZERO_TOL``), the derivative keeps the positive block of
+    H, damps the mixed positive-negative block by the omega weights, projects
+    the zero block, and kills the rest.  At a definite S this reduces to H
+    (positive definite) or 0 (negative definite).
     """
     S = np.asarray(S, dtype=float)
     H = np.asarray(H, dtype=float)
     if S.shape != H.shape or S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S and H must be square matrices of equal order")
-    dec = eig_sym(S, zero_tol=zero_tol)
+    dec = eig_sym(S)
     return _dir_deriv_from_dec(dec, 0.5 * (H + H.T))
 
 
-def _jacobian_from_dec(
-    rows: np.ndarray, mats: np.ndarray, dec: SpectralDecomp
-) -> np.ndarray:
+def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
     """Assemble the m-by-m Newton matrix from a cached eigendecomposition.
 
     Zero eigenvalues are folded into the negative bucket (a Clarke
@@ -102,27 +99,24 @@ def _jacobian_from_dec(
     the rest.  The result is a nonnegatively weighted Gram matrix, hence
     symmetric positive semidefinite.
     """
-    m = rows.shape[0]
+    m = amap.m
     p = len(dec.alpha)
     n = dec.n
     if p == 0:
         return np.zeros((m, m))
     if p == n:
-        return rows @ rows.T
+        return amap.rows @ amap.rows.T
     U = dec.U
-    G = np.matmul(U.T[None, :, :], np.matmul(mats, U))
+    G = np.matmul(U.T[None, :, :], np.matmul(amap.matrices(), U))
     w = _weights(dec.lam, p, 0)
     Gf = G.reshape(m, n * n)
     J = (Gf * w.ravel()) @ Gf.T
     return 0.5 * (J + J.T)
 
 
-def jacobian(
-    inst: BapInstance, y: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL
-) -> np.ndarray:
+def jacobian(inst: BapInstance, y: np.ndarray) -> np.ndarray:
     """Newton matrix J(y) of the root function at y (m-by-m, psd)."""
-    dec = eig_sym(inst.W + inst.map.adjoint(y), zero_tol=zero_tol)
-    return _jacobian_from_dec(inst.map.rows, inst.map.matrices(), dec)
+    return _jacobian_from_dec(inst.map, eig_sym(inst.W + inst.map.adjoint(y)))
 
 
 def jacobian_spectrum(J: np.ndarray) -> tuple[np.ndarray, float]:
@@ -150,8 +144,6 @@ class NewtonOptions:
     eps_final: float = 1e-13
     cond_budget: float = 16.0
     max_iter: int = 2000
-    reg_kappa: float = 0.2
-    zero_tol: float = DEFAULT_ZERO_TOL
 
 
 @dataclass
@@ -211,7 +203,7 @@ def newton_solve(
 
     One eigendecomposition per iteration feeds the residual, the Newton matrix
     and its spectrum.  The step solves (J + lam*I) d = -F by Cholesky with
-    lam = reg_kappa*||F|| (floored at 1e-14), escalating lam tenfold if the
+    lam = 0.2*||F|| (floored at 1e-14), escalating lam tenfold if the
     factorization fails and falling back to least squares as a last resort.
     No line search; a step-norm cap of 1e8 guards against overflow on
     divergent dual sequences.
@@ -227,8 +219,6 @@ def newton_solve(
     m = inst.m
     y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
     b_scale = 1.0 + np.linalg.norm(inst.b)
-    mats = inst.map.matrices()
-    rows = inst.map.rows
     t0 = time.perf_counter()
     iterates: list[NewtonIterate] = []
     status = NewtonStatus.ITER_LIMIT
@@ -237,7 +227,7 @@ def newton_solve(
 
     for k in range(opts.max_iter + 1):
         Y = inst.W + inst.map.adjoint(y)
-        dec = eig_sym(Y, zero_tol=opts.zero_tol)
+        dec = eig_sym(Y)
         pos = np.maximum(dec.lam, 0.0)
         X = (dec.U * pos) @ dec.U.T
         X = 0.5 * (X + X.T)
@@ -245,7 +235,7 @@ def newton_solve(
         F = inst.map.apply(X) - inst.b
         normF = float(np.linalg.norm(F))
         relres = min(1.0, normF / b_scale)
-        J = _jacobian_from_dec(rows, mats, dec)
+        J = _jacobian_from_dec(inst.map, dec)
         eig_J, cond = jacobian_spectrum(J)
         iterates.append(
             NewtonIterate(
@@ -268,7 +258,7 @@ def newton_solve(
             status = NewtonStatus.ITER_LIMIT
             break
 
-        reg = max(opts.reg_kappa * normF, 1e-14)
+        reg = max(0.2 * normF, 1e-14)
         d = None
         for _ in range(40):
             try:

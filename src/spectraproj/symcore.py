@@ -156,13 +156,13 @@ def project_psd(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, 0.5 * (Zneg + Zneg.T)
 
 
-def check_face_range(V: np.ndarray, tol: float = 1e-12) -> None:
-    """Validate that V has orthonormal columns; raises ValueError if not."""
+def check_face_range(V: np.ndarray) -> None:
+    """Raise ValueError unless V has orthonormal columns: ||V'V - I|| <= 1e-12."""
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise ValueError("face range must be a 2-d array")
     defect = np.linalg.norm(V.T @ V - np.eye(V.shape[1]))
-    if defect > tol:
+    if defect > 1e-12:
         raise ValueError(f"columns of V are not orthonormal: ||V'V - I|| = {defect:.3e}")
 
 

@@ -199,6 +199,21 @@ def test_diagnose_solve_path(tmp_path, capsys):
     assert len(rep["jacobian_spectrum"]) == 6
 
 
+def test_diagnose_gives_no_verdict_at_a_stall_off_the_rank_tests_tolerance(tmp_path, capsys):
+    # the set has no interior, so every feasible point is degenerate; the
+    # stalled iterate (pf about 5e-7) used to be rank-tested "Nondegenerate"
+    out = tmp_path / "diag"
+    assert _run(
+        "diagnose", "--gen", "PlantedNoSlater", "--n", "15", "--m", "7",
+        "--sd", "1", "--iips", "1", "--support", "5", "--out", str(out),
+    ) == EXIT_OK
+    assert "verdict=Nondegenerate" not in capsys.readouterr().out
+    rep = json.loads((out / "diagnose.json").read_text())
+    assert rep["solve"]["kkt"]["pf"] > FEAS_TOL
+    assert rep["crosscheck"]["inconclusive"] is True
+    assert "rank test skipped" in rep["crosscheck"]["reason"]
+
+
 def test_diagnose_at_planted_vertex(tmp_path, capsys):
     out = tmp_path / "diag"
     assert _run(

@@ -14,7 +14,7 @@ from spectraproj.instances import (
     gen_random_slater,
     gen_vontope,
 )
-from spectraproj.model import BapInstance, KktTriple, LinearMap
+from spectraproj.model import BapInstance, LinearMap
 from spectraproj.ssnewton import newton_solve
 from spectraproj.symcore import smat, svec, tri_len
 

@@ -22,7 +22,7 @@ from spectraproj.instances import (
 )
 from spectraproj.model import BapInstance, LinearMap, kkt_residuals, primal_objective
 from spectraproj.ssnewton import NewtonStatus, jacobian, newton_solve
-from spectraproj.symcore import smat, svec
+from spectraproj.symcore import smat
 
 
 def _certificate_instance():
@@ -63,14 +63,13 @@ def test_certificate_found_on_planted_instances():
 def test_aux_jacobian_matches_finite_differences():
     rng = np.random.default_rng(4)
     for inst in (_certificate_instance(), gen_random_slater(6, 9, seed=1)):
-        mats = inst.map.matrices()
         checked = 0
         while checked < 6:
             lam = rng.standard_normal(inst.m)
             # the residual is smooth only away from zero eigenvalues of A*(lam)
             if np.abs(np.linalg.eigvalsh(inst.map.adjoint(lam))).min() < 1e-3:
                 continue
-            J = _aux_jacobian(inst, lam, mats)
+            J = _aux_jacobian(inst, lam)
             h = 1e-6
             for j in range(inst.m):
                 e = np.zeros(inst.m)
@@ -256,3 +255,19 @@ def test_solve_with_reduction_stops_at_a_clean_solve():
     assert len(res.rounds) == 1 and res.rounds[0].step is None
     assert res.chain.sd_hat == 0
     assert np.array_equal(res.X, res.rounds[0].trace.triple.X)
+
+
+def test_solve_with_reduction_builds_each_matrix_stack_once(monkeypatch):
+    import spectraproj.model as model
+
+    real_smat = model.smat
+    builds = []
+
+    def counting_smat(v):
+        if np.ndim(v) == 2:  # a rows stack, not one half-vector
+            builds.append(np.shape(v))
+        return real_smat(v)
+
+    monkeypatch.setattr(model, "smat", counting_smat)
+    res = solve_with_reduction(fixture_sd2_chain())
+    assert len(builds) <= len(res.rounds)

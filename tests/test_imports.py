@@ -1,0 +1,37 @@
+"""No library module imports a name it does not use."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spectraproj"
+# the package __init__ imports only to re-export, so it is not checked
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression in ``source`` reads."""
+    tree = ast.parse(source)
+    bound: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_unused_import_detector():
+    src = "import os\nimport scipy.linalg\nfrom x import y, z as w\nw(scipy.linalg)\n"
+    assert _unused_imports(src) == ["os", "y"]
+
+
+def test_modules_are_found():
+    assert len(MODULES) >= 7
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []

@@ -23,7 +23,7 @@ from spectraproj.instances import (
     vontope_null_basis,
 )
 from spectraproj.model import dumps_json, instance_to_dict, kkt_residuals, KktTriple
-from spectraproj.symcore import smat, svec, tri_len
+from spectraproj.symcore import smat, tri_len
 
 
 def test_every_family_dispatches():

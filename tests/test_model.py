@@ -188,6 +188,25 @@ def test_matrices_stack_round_trips_and_handles_an_empty_map():
     assert LinearMap(n=3, rows=np.zeros((0, tri_len(3)))).matrices().shape == (0, 3, 3)
 
 
+def test_matrices_are_built_once_and_read_only():
+    amap = _rand_map(4, 3, np.random.default_rng(9))
+    mats = amap.matrices()
+    assert amap.matrices() is mats
+    with pytest.raises(ValueError):
+        mats[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        amap.rows[0, 0] = 1.0
+
+
+def test_restrict_is_the_congruence_of_every_constraint():
+    rng = np.random.default_rng(10)
+    amap = _rand_map(5, 4, rng)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    red = amap.restrict(Q)
+    assert (red.n, red.m) == (3, 4)
+    assert np.array_equal(red.rows, svec(Q.T @ smat(amap.rows) @ Q))
+
+
 def test_empty_map_preprocess():
     amap = LinearMap(n=3, rows=np.zeros((0, tri_len(3))))
     red, b, removed = preprocess_surjective(amap, np.zeros(0))
