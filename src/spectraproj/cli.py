@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 solver or linear-algebra failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -106,11 +107,7 @@ def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "options": {
-            "eps_final": args.eps,
-            "cond_budget": args.cond_budget,
-            "max_iter": args.max_iter,
-        },
+        "options": dataclasses.asdict(_options_from_args(args)),
     }
     if getattr(args, "instance", None) is not None:
         cfg["instance"] = args.instance

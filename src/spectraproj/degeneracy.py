@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import BapInstance
 from .ssnewton import NewtonTrace
-from .symcore import eig_sym
+from .symcore import SpectralDecomp, eig_sym
 
 RANK_TOL = 1e-8
 #: largest scaled residual ||A(X) - b|| / (1 + ||b||) the rank test accepts
@@ -50,16 +50,17 @@ class DegeneracyReport:
         }
 
 
-def _feasibility_guard(inst: BapInstance, X: np.ndarray) -> np.ndarray:
+def _feasibility_guard(inst: BapInstance, X: np.ndarray) -> SpectralDecomp:
+    """Decomposition of X split at ``RANK_TOL``; raises unless X is psd and feasible."""
     X = 0.5 * (np.asarray(X, dtype=float) + np.asarray(X, dtype=float).T)
-    e = np.linalg.eigvalsh(X)
-    scale = max(1.0, abs(e[-1]))
-    if e[0] < -1e-9 * scale:
-        raise ValueError(f"X is not psd enough for a rank split: min eig {e[0]:.3e}")
+    dec = eig_sym(X, zero_tol=RANK_TOL)
+    lo = dec.lam[-1]
+    if lo < -1e-9 * max(1.0, abs(dec.lam[0])):
+        raise ValueError(f"X is not psd enough for a rank split: min eig {lo:.3e}")
     pf = np.linalg.norm(inst.map.apply(X) - inst.b) / (1.0 + np.linalg.norm(inst.b))
     if pf > FEAS_TOL:
         raise ValueError(f"X violates the linear constraints: scaled residual {pf:.3e}")
-    return X
+    return dec
 
 
 def build_L(inst: BapInstance, X: np.ndarray) -> np.ndarray:
@@ -78,9 +79,8 @@ def build_L(inst: BapInstance, X: np.ndarray) -> np.ndarray:
 def _build_L_split(
     inst: BapInstance, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    X = _feasibility_guard(inst, X)
-    dec = eig_sym(X, zero_tol=RANK_TOL)
-    r = len(dec.alpha)
+    dec = _feasibility_guard(inst, X)
+    r = dec.p
     V = dec.U[:, :r]
     Vbar = dec.U[:, r:]
     top = inst.map.restrict(V).rows
@@ -127,15 +127,20 @@ def is_nondegenerate(
 class CrosscheckReport:
     """Agreement between the rank test and terminal Newton-matrix invertibility."""
 
-    report: DegeneracyReport
+    report: DegeneracyReport | None  # None when the rank test did not run
     jacobian_nonsingular: bool
     sigma_ratio_J: float
-    agree: bool
+    agree: bool | None
     inconclusive: bool
     reason: str = ""
 
     def to_dict(self) -> dict[str, Any]:
-        d = self.report.to_dict()
+        if self.report is not None:
+            d = self.report.to_dict()
+        else:
+            d = dict.fromkeys(
+                ("rank_L", "m", "verdict", "sc", "sigma_L", "margin", "rank_X", "rank_Z")
+            )
         d["cond_J"] = None if self.sigma_ratio_J == 0 else 1.0 / self.sigma_ratio_J
         d["jacobian_nonsingular"] = self.jacobian_nonsingular
         d["agree"] = self.agree
@@ -154,11 +159,11 @@ def jacobian_degeneracy_crosscheck(
     The equivalence between the two is a statement about optima with strict
     complementarity; the result is flagged inconclusive when the terminal
     iterate is off the constraints by more than ``FEAS_TOL``, where the rank
-    test refuses to judge it, or when strict complementarity fails, and the
-    raw disagreement is preserved rather than patched over.  When the run
-    stalled short of feasibility but the optimum is known (a planted vertex,
-    say), pass it as ``X`` to rank-test there while still judging the Newton
-    matrix from the trace.
+    test refuses to judge it (``report`` and ``agree`` are then None), or
+    when strict complementarity fails, and the raw disagreement is preserved
+    rather than patched over.  When the run stalled short of feasibility but
+    the optimum is known (a planted vertex, say), pass it as ``X`` to
+    rank-test there while still judging the Newton matrix from the trace.
     """
     Z = trace.triple.Z
     X = trace.triple.X if X is None else np.asarray(X, dtype=float)
@@ -167,13 +172,9 @@ def jacobian_degeneracy_crosscheck(
     nonsing = ratio > RANK_TOL
     pf = np.linalg.norm(inst.map.apply(X) - inst.b) / (1.0 + np.linalg.norm(inst.b))
     if pf > FEAS_TOL:
-        stub = DegeneracyReport(
-            rank_L=0, m=inst.m, verdict="Degenerate",
-            singular_values=np.zeros(0), margin=0.0, rank_X=0,
-        )
         return CrosscheckReport(
-            report=stub, jacobian_nonsingular=nonsing, sigma_ratio_J=ratio,
-            agree=False, inconclusive=True,
+            report=None, jacobian_nonsingular=nonsing, sigma_ratio_J=ratio,
+            agree=None, inconclusive=True,
             reason=f"terminal iterate infeasible (pf {pf:.3e}); rank test skipped",
         )
     rep = is_nondegenerate(inst, X, Z=Z)

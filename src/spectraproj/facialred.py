@@ -20,7 +20,7 @@ import numpy as np
 from .model import BapInstance, preprocess_surjective, residual_F_face
 from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, jacobian, newton_solve
 from .ssnewton import _dir_deriv_from_dec
-from .symcore import eig_sym, svec
+from .symcore import SpectralDecomp, eig_sym, svec
 
 #: residual a certificate must reach, and the slack its checks allow
 CERT_TOL = 1e-9
@@ -119,20 +119,19 @@ class ReductionResult:
     X: np.ndarray            # last round's primal iterate lifted: V X V'
 
 
-def _aux_residual(inst: BapInstance, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    M = inst.map.adjoint(lam)
-    dec = eig_sym(M, zero_tol=0.0)
+def _aux_residual(inst: BapInstance, lam: np.ndarray) -> tuple[np.ndarray, SpectralDecomp]:
+    """Residual (svec(M - P(M)), <b, lam>) at M = A*(lam), and M's decomposition."""
+    dec = eig_sym(inst.map.adjoint(lam))
     neg = np.minimum(dec.lam, 0.0)
     Mneg = (dec.U * neg) @ dec.U.T
     r = np.concatenate([svec(Mneg), [float(inst.b @ lam)]])
-    return r, M
+    return r, dec
 
 
-def _aux_jacobian(inst: BapInstance, lam: np.ndarray) -> np.ndarray:
+def _aux_jacobian(inst: BapInstance, dec: SpectralDecomp) -> np.ndarray:
     # residual row block is svec(M - P(M)); its derivative in lam_j is
-    # svec(A_j - P'(M; A_j))
+    # svec(A_j - P'(M; A_j)), with dec the decomposition of M
     mats = inst.map.matrices()
-    dec = eig_sym(inst.map.adjoint(lam))
     return np.vstack([svec(mats - _dir_deriv_from_dec(dec, mats)).T, inst.b])
 
 
@@ -220,12 +219,12 @@ def solve_aux_gauss_newton(
 
     for lam in starts:
         lam = lam.copy()
-        r, M = _aux_residual(inst, lam)
+        r, dec = _aux_residual(inst, lam)
         rn = float(np.linalg.norm(r))
         for _ in range(60):
             if rn <= CERT_TOL or m == 1:
                 break
-            J = _aux_jacobian(inst, lam)
+            J = _aux_jacobian(inst, dec)
             # tangent basis at lam: trailing columns of a full QR of [lam]
             Q, _ = np.linalg.qr(lam.reshape(-1, 1), mode="complete")
             T = Q[:, 1:]
@@ -240,16 +239,17 @@ def solve_aux_gauss_newton(
                     step *= 0.5
                     continue
                 cand /= nc
-                rc, Mc = _aux_residual(inst, cand)
+                rc, decc = _aux_residual(inst, cand)
                 rcn = float(np.linalg.norm(rc))
                 if rcn < rn:
-                    lam, r, rn, M = cand, rc, rcn, Mc
+                    lam, r, rn, dec = cand, rc, rcn, decc
                     improved = True
                     break
                 step *= 0.5
             if not improved:
                 break
-        if rn <= CERT_TOL and np.linalg.norm(M) >= 1e-8:
+        # ||M||_F is the 2-norm of M's eigenvalues
+        if rn <= CERT_TOL and np.linalg.norm(dec.lam) >= 1e-8:
             lam, rn = _polish_certificate(inst, lam, rn)
             M = inst.map.adjoint(lam)
             if np.linalg.norm(M) < 1e-8:
@@ -299,10 +299,11 @@ def fr_step(inst: BapInstance, cert: AuxCertificate) -> tuple[BapInstance, np.nd
     positive part.
     """
     dec = eig_sym(cert.Z)
-    keep = sorted(dec.beta + dec.gamma)
-    if not keep:
+    if dec.p == dec.n:
         raise FaceCollapsedError("exposing matrix is positive definite; face is {0}")
-    Q = dec.U[:, keep]
+    # the zero and negative buckets, in F order: the congruences Q' A_i Q
+    # round differently from a C-ordered Q
+    Q = np.asfortranarray(dec.U[:, dec.p :])
     red_map, red_b, removed = preprocess_surjective(inst.map.restrict(Q), inst.b)
     meta = dict(inst.meta)
     meta["reduced_from"] = inst.n

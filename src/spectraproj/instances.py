@@ -85,9 +85,6 @@ def generate(spec: GeneratorSpec) -> BapInstance:
             support_size=ex.get("support", min(5, m)),
             seed=spec.seed,
             w_mode=spec.w_mode,
-            plant_root=ex.get("plant_root", False),
-            root_margin=ex.get("root_margin", 20.0),
-            face_codim=ex.get("face_codim"),
         )
     if fam == "DualUnattained":
         return gen_dual_unattained(spec.n, seed=spec.seed)

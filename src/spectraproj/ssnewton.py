@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 
-def _split_sizes(dec: SpectralDecomp) -> tuple[int, int, int]:
-    return len(dec.alpha), len(dec.beta), len(dec.gamma)
-
-
 def _weights(lam: np.ndarray, p: int, z: int) -> np.ndarray:
     """First-divided-difference weights of max(., 0) on a sorted split spectrum.
 
@@ -59,7 +55,7 @@ def _weights(lam: np.ndarray, p: int, z: int) -> np.ndarray:
 
 def _dir_deriv_from_dec(dec: SpectralDecomp, H: np.ndarray) -> np.ndarray:
     """P'(Y; H) for one direction ``(n, n)`` or a stack ``(..., n, n)`` of them."""
-    p, z, _ = _split_sizes(dec)
+    p, z = dec.p, dec.z
     U = dec.U
     Ht = U.T @ H @ U
     M = _weights(dec.lam, p, z) * Ht
@@ -95,12 +91,12 @@ def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
 
     Zero eigenvalues are folded into the negative bucket (a Clarke
     generalized-Jacobian choice), which leaves the clean two-block weight
-    pattern: ones on alpha-alpha, omega weights on the mixed block, zero on
-    the rest.  The result is a nonnegatively weighted Gram matrix, hence
-    symmetric positive semidefinite.
+    pattern: ones on the positive-positive block, omega weights on the mixed
+    block, zero on the rest.  The result is a nonnegatively weighted Gram
+    matrix, hence symmetric positive semidefinite.
     """
     m = amap.m
-    p = len(dec.alpha)
+    p = dec.p
     n = dec.n
     if p == 0:
         return np.zeros((m, m))
@@ -228,9 +224,7 @@ def newton_solve(
     for k in range(opts.max_iter + 1):
         Y = inst.W + inst.map.adjoint(y)
         dec = eig_sym(Y)
-        pos = np.maximum(dec.lam, 0.0)
-        X = (dec.U * pos) @ dec.U.T
-        X = 0.5 * (X + X.T)
+        X = dec.psd_part()
         Z = X - Y
         F = inst.map.apply(X) - inst.b
         normF = float(np.linalg.norm(F))
@@ -244,7 +238,7 @@ def newton_solve(
                 relres=relres,
                 cond=cond,
                 eig_J=eig_J,
-                lam_min_X=float(pos[-1] if pos.size else 0.0),
+                lam_min_X=max(float(dec.lam[-1]), 0.0) if dec.n else 0.0,
                 wallclock=time.perf_counter() - t0,
             )
         )

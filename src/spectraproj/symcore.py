@@ -9,7 +9,7 @@ so a whole family of constraint matrices converts in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,17 +78,17 @@ def smat(v: np.ndarray) -> np.ndarray:
 class SpectralDecomp:
     """Eigendecomposition of a symmetric matrix with a thresholded sign split.
 
-    ``lam`` is nonincreasing, ``U`` orthogonal with matching columns.  The index
-    lists partition ``range(n)``: ``alpha`` strictly positive eigenvalues,
-    ``beta`` those within ``zero_tol * max(1, |lam[0]|, |lam[-1]|)`` of zero,
-    ``gamma`` strictly negative.
+    ``lam`` is nonincreasing, ``U`` orthogonal and C-contiguous with matching
+    columns.  The split is by counts, so each bucket is a slice: ``lam[:p]``
+    strictly positive, ``lam[p:p+z]`` within
+    ``zero_tol * max(1, |lam[0]|, |lam[-1]|)`` of zero, the rest strictly
+    negative.
     """
 
     U: np.ndarray
     lam: np.ndarray
-    alpha: list[int] = field(default_factory=list)
-    beta: list[int] = field(default_factory=list)
-    gamma: list[int] = field(default_factory=list)
+    p: int
+    z: int
 
     @property
     def n(self) -> int:
@@ -97,23 +97,25 @@ class SpectralDecomp:
     def recompose(self) -> np.ndarray:
         return (self.U * self.lam) @ self.U.T
 
+    def psd_part(self) -> np.ndarray:
+        """P(S): the eigenvalues clipped at zero, recomposed and symmetrized."""
+        X = (self.U * np.maximum(self.lam, 0.0)) @ self.U.T
+        return 0.5 * (X + X.T)
+
 
 def _normalize_sign(U: np.ndarray) -> np.ndarray:
     # flip each column so its first component of nontrivial size is positive;
     # keeps eigenvectors reproducible across runs on the same data
+    A = np.abs(U)
+    big = A > 1e-12 * np.maximum(1.0, A.max(axis=0, initial=0.0))
+    lead = big & (np.cumsum(big, axis=0) == 1)
     out = U.copy()
-    n = U.shape[0]
-    for j in range(U.shape[1]):
-        col = out[:, j]
-        big = np.abs(col) > 1e-12 * max(1.0, np.abs(col).max())
-        idx = np.argmax(big)
-        if big[idx] and col[idx] < 0:
-            out[:, j] = -col
+    out[:, (lead & (U < 0)).any(axis=0)] *= -1.0
     return out
 
 
 def eig_sym(S: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralDecomp:
-    """Ordered symmetric eigendecomposition with alpha/beta/gamma classification.
+    """Ordered symmetric eigendecomposition with its positive/zero/negative split.
 
     Parameters
     ----------
@@ -134,10 +136,9 @@ def eig_sym(S: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralDecomp
     U = _normalize_sign(V[:, order])
     scale = max(1.0, abs(lam[0]), abs(lam[-1])) if lam.size else 1.0
     thr = zero_tol * scale
-    alpha = [i for i, x in enumerate(lam) if x > thr]
-    beta = [i for i, x in enumerate(lam) if abs(x) <= thr]
-    gamma = [i for i, x in enumerate(lam) if x < -thr]
-    return SpectralDecomp(U=U, lam=lam, alpha=alpha, beta=beta, gamma=gamma)
+    p = int(np.count_nonzero(lam > thr))
+    z = int(np.count_nonzero(np.abs(lam) <= thr))
+    return SpectralDecomp(U=U, lam=lam, p=p, z=z)
 
 
 def project_psd(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,10 +149,7 @@ def project_psd(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     up to roundoff, which is the decomposition the dual side of everything
     here is built on.
     """
-    dec = eig_sym(S, zero_tol=0.0)
-    pos = np.maximum(dec.lam, 0.0)
-    X = (dec.U * pos) @ dec.U.T
-    X = 0.5 * (X + X.T)
+    X = eig_sym(S, zero_tol=0.0).psd_part()
     Zneg = X - np.asarray(S, dtype=float)
     return X, 0.5 * (Zneg + Zneg.T)
 

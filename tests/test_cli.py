@@ -214,6 +214,21 @@ def test_diagnose_gives_no_verdict_at_a_stall_off_the_rank_tests_tolerance(tmp_p
     assert "rank test skipped" in rep["crosscheck"]["reason"]
 
 
+def test_diagnose_skipped_rank_test_gives_no_verdict(tmp_path, capsys):
+    # the reduced lifted-permutation model stalls at pf about 5e-4, so no rank
+    # test runs and no verdict may be printed or written
+    out = tmp_path / "diag"
+    assert _run(
+        "diagnose", "--gen", "VontopePost", "--n", "3", "--w-mode", "rank1",
+        "--out", str(out),
+    ) == EXIT_OK
+    assert "verdict=None" in capsys.readouterr().out
+    cc = json.loads((out / "diagnose.json").read_text())["crosscheck"]
+    assert cc["verdict"] is None and cc["rank_L"] is None and cc["agree"] is None
+    assert cc["inconclusive"] is True
+    assert "rank test skipped" in cc["reason"]
+
+
 def test_diagnose_at_planted_vertex(tmp_path, capsys):
     out = tmp_path / "diag"
     assert _run(

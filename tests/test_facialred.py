@@ -69,7 +69,8 @@ def test_aux_jacobian_matches_finite_differences():
             # the residual is smooth only away from zero eigenvalues of A*(lam)
             if np.abs(np.linalg.eigvalsh(inst.map.adjoint(lam))).min() < 1e-3:
                 continue
-            J = _aux_jacobian(inst, lam)
+            _, dec = _aux_residual(inst, lam)
+            J = _aux_jacobian(inst, dec)
             h = 1e-6
             for j in range(inst.m):
                 e = np.zeros(inst.m)
@@ -271,3 +272,24 @@ def test_solve_with_reduction_builds_each_matrix_stack_once(monkeypatch):
     monkeypatch.setattr(model, "smat", counting_smat)
     res = solve_with_reduction(fixture_sd2_chain())
     assert len(builds) <= len(res.rounds)
+
+
+def test_certificate_search_decomposes_each_multiplier_once(monkeypatch):
+    import spectraproj.facialred as facialred
+
+    calls = {"eig_sym": 0, "residual": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(facialred, "eig_sym", counting("eig_sym", facialred.eig_sym))
+    monkeypatch.setattr(
+        facialred, "_aux_residual", counting("residual", facialred._aux_residual)
+    )
+    assert solve_aux_gauss_newton(_certificate_instance()) is not None
+    assert calls["residual"] > 0
+    assert calls["eig_sym"] == calls["residual"]

@@ -1,13 +1,15 @@
-"""No library module imports a name it does not use."""
+"""No library module, test or demo imports a name it does not use."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spectraproj"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "spectraproj"
 # the package __init__ imports only to re-export, so it is not checked
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -30,8 +32,14 @@ def test_unused_import_detector():
 
 def test_modules_are_found():
     assert len(MODULES) >= 7
+    assert len(SCRIPTS) >= 15
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports_in_tests_and_demos(path):
     assert _unused_imports(path.read_text()) == []

@@ -97,7 +97,7 @@ def test_eig_sym_partition_and_recompose():
         S = _sym(n)
         dec = eig_sym(S)
         assert np.all(np.diff(dec.lam) <= 1e-14)
-        assert sorted(dec.alpha + dec.beta + dec.gamma) == list(range(n))
+        assert 0 <= dec.p and 0 <= dec.z and dec.p + dec.z <= n
         assert np.allclose(dec.recompose(), S, atol=1e-10)
         assert np.allclose(dec.U @ dec.U.T, np.eye(n), atol=1e-12)
 
@@ -105,7 +105,48 @@ def test_eig_sym_partition_and_recompose():
 def test_eig_sym_zero_bucket():
     S = np.diag([2.0, 1e-14, -3.0])
     dec = eig_sym(S)
-    assert dec.alpha == [0] and dec.beta == [1] and dec.gamma == [2]
+    assert (dec.p, dec.z, dec.n - dec.p - dec.z) == (1, 1, 1)
+
+
+def _tiny_lead_matrix():
+    # rotate e_0 into the other coordinates by 1e-13: every other eigenvector
+    # starts with an entry below 1e-12, so its sign comes from a later row
+    rng = np.random.default_rng(5)
+    Q = np.eye(5)
+    Q[1:, 1:], _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    t = 1e-13
+    G = np.eye(5)
+    G[0, 0] = G[1, 1] = np.cos(t)
+    G[0, 1], G[1, 0] = -np.sin(t), np.sin(t)
+    Q = G @ Q
+    return (Q * np.array([4.0, 2.0, 0.0, -1.0, -3.0])) @ Q.T
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        np.zeros((0, 0)),
+        np.diag([2.0, 1e-14, -3.0]),
+        np.diag([0.0, 5.0, 0.0, -1e-12, 1.0]),
+        _tiny_lead_matrix(),
+        _sym(7, np.random.default_rng(7)),
+    ],
+    ids=["order0", "zero_bucket", "diagonal", "tiny_leading_entries", "random"],
+)
+def test_eig_sym_buckets_and_signs_match_a_direct_reference(S):
+    dec = eig_sym(S)
+    n = S.shape[0]
+    assert dec.U.shape == (n, n) and dec.U.flags.c_contiguous
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    assert np.array_equal(dec.lam, w[::-1])
+    thr = 1e-10 * max([1.0] + [abs(x) for x in dec.lam])
+    assert dec.p == sum(1 for x in dec.lam if x > thr)
+    assert dec.z == sum(1 for x in dec.lam if abs(x) <= thr)
+    for j in range(n):
+        col = dec.U[:, j]
+        assert np.array_equal(np.abs(col), np.abs(V[:, n - 1 - j]))
+        big = [i for i in range(n) if abs(col[i]) > 1e-12 * max(1.0, np.abs(col).max())]
+        assert col[big[0]] > 0
 
 
 def test_eig_sym_sign_normalization_is_stable():
