@@ -316,8 +316,9 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
         "df": mean("df"),
         "cs": mean("cs"),
         "k": mean("k"),
+        # medians: one 1e299 cond or one slow run must not stand for the cell
         "time": float(np.median([r["time"] for r in rows])),
-        "cond": mean("cond"),
+        "cond": float(np.median([r["cond"] for r in rows])),
         "pct_1e-8": 100.0 * sum(r["reach8"] for r in rows) / len(rows),
         "pct_1e-13": 100.0 * sum(r["reach13"] for r in rows) / len(rows),
     }
@@ -460,16 +461,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return _run_singularity_demo(args)
     out = Path(args.out)
     opts = _options_from_args(args)
+    if args.workers < 1:
+        raise SystemExit("--workers must be at least 1")
     cells = _suite_cells(args.suite, args.seeds, args.seed)
-    for c in cells:
-        makers = c.pop("makers")
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                futures = [pool.submit(lambda mk=mk: _run_one(mk(), opts)) for mk in makers]
-                c["rows"] = [f.result() for f in futures]
-        else:
-            c["rows"] = [_run_one(mk(), opts) for mk in makers]
-        c["agg"] = _aggregate(c["rows"])
+    # collected in submission order, so the bytes do not depend on --workers
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        for c in cells:
+            futures = [pool.submit(lambda mk=mk: _run_one(mk(), opts)) for mk in c.pop("makers")]
+            c["rows"] = [f.result() for f in futures]
+            c["agg"] = _aggregate(c["rows"])
     md, csv, pmd, pcsv = _cells_to_tables(cells)
     if "table" in args.emit:
         _write_text(out / f"{args.suite}.md", md)

@@ -13,12 +13,13 @@ set, and the total number of deleted rows counts the implicit redundancies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 from .model import BapInstance, preprocess_surjective, residual_F_face
-from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, jacobian, newton_solve
+from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, newton_solve
 from .ssnewton import _dir_deriv_from_dec
 from .symcore import SpectralDecomp, eig_sym, svec
 
@@ -39,12 +40,17 @@ class AuxCertificate:
     residual: float
     b_inner: float
 
+    @cached_property
+    def dec(self) -> SpectralDecomp:
+        """``eig_sym(Z)``; the search sets the one it already holds."""
+        return eig_sym(self.Z)
+
     def validate(self, b: np.ndarray) -> None:
         if abs(np.linalg.norm(self.lam) - 1.0) > 1e-8:
             raise ValueError("certificate multiplier is not unit norm")
-        eZ = np.linalg.eigvalsh(0.5 * (self.Z + self.Z.T))
-        if eZ.size and eZ[0] < -CERT_TOL * max(1.0, abs(eZ[-1])):
-            raise ValueError(f"exposing matrix is not psd: min eig {eZ[0]:.3e}")
+        eZ = self.dec.lam
+        if eZ.size and eZ[-1] < -CERT_TOL * max(1.0, abs(eZ[0])):
+            raise ValueError(f"exposing matrix is not psd: min eig {eZ[-1]:.3e}")
         if abs(self.b_inner) > CERT_TOL * (1.0 + np.linalg.norm(b)):
             raise ValueError("certificate is not orthogonal to b")
         if np.linalg.norm(self.Z) < 1e-8:
@@ -136,8 +142,8 @@ def _aux_jacobian(inst: BapInstance, dec: SpectralDecomp) -> np.ndarray:
 
 
 def _polish_certificate(
-    inst: BapInstance, lam: np.ndarray, rn: float
-) -> tuple[np.ndarray, float]:
+    inst: BapInstance, lam: np.ndarray, rn: float, dec: SpectralDecomp
+) -> tuple[np.ndarray, float, SpectralDecomp]:
     """Snap a near-certificate onto the exact face it is trying to expose.
 
     A residual of ``rn`` still tolerates spurious multiplier components of
@@ -146,24 +152,19 @@ def _polish_certificate(
     the face.  For a few candidate rank cuts this solves the exact linear
     system (complement block of A* vanishes, b-orthogonality) and keeps the
     null vector closest to ``lam`` whenever that strictly improves the
-    residual.
+    residual.  ``dec`` decomposes A*(lam); the winner comes back with its own.
     """
-    best_lam, best_rn = lam, rn
+    best = (lam, rn, dec)
     for theta in (1e-4, 1e-6, 1e-8):
-        mu = lam
+        mu, mdec = lam, dec
         # the cut basis inherits the pollution it is meant to remove, so one
         # projection only shrinks it quadratically; a few passes reach machine
         for _ in range(4):
-            Z = inst.map.adjoint(mu)
-            w, U = np.linalg.eigh(Z)
-            scale = float(np.abs(w).max())
-            if scale == 0.0:
+            # at A*(mu) = 0 nothing is kept, and the passes end
+            keep = mdec.lam < theta * float(np.abs(mdec.lam).max())
+            if not keep.any() or keep.all():
                 break
-            keep = w < theta * scale
-            k = int(np.count_nonzero(keep))
-            if k == 0 or k == inst.n:
-                break
-            N = U[:, keep]
+            N = mdec.U[:, keep]
             K = np.vstack([inst.map.restrict(N).rows.T, inst.b])
             _, sig, Vt = np.linalg.svd(K, full_matrices=True)
             null_mask = np.zeros(inst.m, dtype=bool)
@@ -177,13 +178,13 @@ def _polish_certificate(
             if nm < 1e-8:
                 break
             mu = cand / nm
-            r_new, _ = _aux_residual(inst, mu)
+            r_new, mdec = _aux_residual(inst, mu)
             rn_new = float(np.linalg.norm(r_new))
-            if rn_new < best_rn:
-                best_lam, best_rn = mu, rn_new
+            if rn_new < best[1]:
+                best = (mu, rn_new, mdec)
             if rn_new == 0.0:
                 break
-    return best_lam, best_rn
+    return best
 
 
 def solve_aux_gauss_newton(
@@ -250,37 +251,32 @@ def solve_aux_gauss_newton(
                 break
         # ||M||_F is the 2-norm of M's eigenvalues
         if rn <= CERT_TOL and np.linalg.norm(dec.lam) >= 1e-8:
-            lam, rn = _polish_certificate(inst, lam, rn)
-            M = inst.map.adjoint(lam)
-            if np.linalg.norm(M) < 1e-8:
+            lam, rn, dec = _polish_certificate(inst, lam, rn, dec)
+            if np.linalg.norm(dec.lam) < 1e-8:
                 continue
             # first success wins, in start order, so the outcome is seed-stable
-            return AuxCertificate(
-                lam=lam, Z=M, residual=rn, b_inner=float(inst.b @ lam)
+            cert = AuxCertificate(
+                lam=lam, Z=inst.map.adjoint(lam), residual=rn, b_inner=float(inst.b @ lam)
             )
+            cert.dec = dec  # eig_sym of this same A*(lam)
+            return cert
     return None
 
 
 def certificate_from_stall(trace: NewtonTrace, inst: BapInstance) -> np.ndarray:
     """Candidate certificate from a stalled Newton run.
 
-    The eigenvector of the smallest eigenvalue of the terminal Newton matrix is
-    the natural stall direction; entries below a thousandth of the largest are
-    zeroed (small supports are typical for planted redundancy) and the result is
-    renormalized.  Raises if the run actually solved the problem.
+    The eigenvector of the smallest eigenvalue of the terminal Newton matrix
+    ``trace.J`` is the stall direction; entries below a thousandth of the
+    largest are zeroed (small supports are typical for planted redundancy) and
+    the result is renormalized.  Raises if the run actually solved the problem.
     """
     if trace.status == NewtonStatus.SOLVED:
         raise ValueError("run converged; there is no stall to extract a certificate from")
-    y = trace.triple.y
-    J = jacobian(inst, y)
-    w, V = np.linalg.eigh(0.5 * (J + J.T))
+    _, V = np.linalg.eigh(trace.J)
     lam = V[:, 0].copy()
     lam[np.abs(lam) <= 1e-3 * np.abs(lam).max()] = 0.0
-    nl = np.linalg.norm(lam)
-    if nl == 0:
-        lam = V[:, 0].copy()
-        nl = np.linalg.norm(lam)
-    lam /= nl
+    lam /= np.linalg.norm(lam)
     # orient toward the psd side so the Gauss-Newton polish starts closer
     M = inst.map.adjoint(lam)
     e = np.linalg.eigvalsh(M)
@@ -298,7 +294,7 @@ def fr_step(inst: BapInstance, cert: AuxCertificate) -> tuple[BapInstance, np.nd
     Raises :class:`FaceCollapsedError` when the exposing matrix has full-rank
     positive part.
     """
-    dec = eig_sym(cert.Z)
+    dec = cert.dec
     if dec.p == dec.n:
         raise FaceCollapsedError("exposing matrix is positive definite; face is {0}")
     # the zero and negative buckets, in F order: the congruences Q' A_i Q

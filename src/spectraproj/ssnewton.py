@@ -159,6 +159,7 @@ class NewtonTrace:
     status: NewtonStatus
     triple: KktTriple
     options: NewtonOptions
+    J: np.ndarray  # Newton matrix at the last iterate: jacobian(inst, triple.y)
 
     @property
     def k_final(self) -> int:
@@ -220,6 +221,7 @@ def newton_solve(
     status = NewtonStatus.ITER_LIMIT
     X = np.zeros((inst.n, inst.n))
     Z = np.zeros_like(X)
+    J = np.zeros((m, m))
 
     for k in range(opts.max_iter + 1):
         Y = inst.W + inst.map.adjoint(y)
@@ -273,6 +275,7 @@ def newton_solve(
         status=status,
         triple=KktTriple(X=X, y=y.copy(), Z=Z),
         options=opts,
+        J=J,
     )
 
 

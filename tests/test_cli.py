@@ -8,6 +8,7 @@ from spectraproj.cli import (
     EXIT_FAILURE,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    _aggregate,
     main,
 )
 from spectraproj.degeneracy import FEAS_TOL
@@ -302,6 +303,22 @@ def test_experiment_report_has_no_wallclock(tmp_path):
         for row in cell["rows"]:
             assert "time" not in row
             assert {"status", "k", "relres", "cond", "pf", "df", "cs"} <= set(row)
+
+
+def test_cell_cond_is_the_median_run():
+    rows = [
+        {"pf": 0.0, "df": 0.0, "cs": 0.0, "k": k, "time": 1.0, "cond": cond,
+         "reach8": True, "reach13": False}
+        for k, cond in enumerate([1e15, 2.56e299, 1e16])
+    ]
+    agg = _aggregate(rows)
+    assert agg["cond"] == 1e16
+    assert agg["k"] == 1.0 and agg["pct_1e-8"] == 100.0 and agg["pct_1e-13"] == 0.0
+
+
+def test_experiment_needs_a_worker(tmp_path):
+    with pytest.raises(SystemExit, match="at least 1"):
+        _run("experiment", "noslater_table", "--workers", "0", "--out", str(tmp_path / "o"))
 
 
 def test_singularity_walk_artifacts(tmp_path, capsys):
