@@ -65,6 +65,8 @@ def _parse_emit(text: str) -> set[str]:
 
 
 def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
+    if args.max_iter < 0:
+        raise SystemExit("--max-iter must be at least 0")
     return NewtonOptions(
         eps_final=args.eps,
         cond_budget=args.cond_budget,
@@ -85,6 +87,8 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
         return inst
     if args.gen is None:
         raise SystemExit("either --instance PATH or --gen FAMILY is required")
+    if args.n < 1:
+        raise SystemExit("--n must be at least 1")
     extras = {
         key: val
         for key, val in (("sd", args.sd), ("iips", args.iips), ("support", args.support))
@@ -463,6 +467,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     opts = _options_from_args(args)
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
+    if args.seeds < 1:
+        raise SystemExit("--seeds must be at least 1")
     cells = _suite_cells(args.suite, args.seeds, args.seed)
     # collected in submission order, so the bytes do not depend on --workers
     with ThreadPoolExecutor(max_workers=args.workers) as pool:

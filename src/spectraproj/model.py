@@ -15,11 +15,32 @@ from typing import Any
 import numpy as np
 import scipy.linalg
 
-from .symcore import project_face, project_psd, smat, svec, tri_len
+from .symcore import SQRT2, project_face, project_psd, smat, svec, tri_len
 
 
 class InfeasibleManifoldError(Exception):
     """The linear equations A(X) = b are inconsistent (infeasible linear manifold)."""
+
+
+@dataclass(frozen=True)
+class SupportGroup:
+    """The rows of a map whose constraint matrices have ``s`` nonzero rows and columns.
+
+    Row ``index[g]`` of the map is nonzero only on the rows and columns
+    ``support[g]`` (ascending, shape ``(k, s)``), where it equals
+    ``blocks[g]`` (shape ``(k, s, s)``).  All three arrays are read-only.
+    """
+
+    index: np.ndarray
+    support: np.ndarray
+    blocks: np.ndarray
+
+    def congruence(self, U: np.ndarray) -> np.ndarray:
+        """U' A_i U for the group's rows, read through their supports: ``(k, c, c)``."""
+        if self.support.shape[1] == U.shape[0]:
+            return np.matmul(U.T[None, :, :], np.matmul(self.blocks, U))
+        US = U[self.support]
+        return np.matmul(np.swapaxes(US, 1, 2), np.matmul(self.blocks, US))
 
 
 @dataclass
@@ -27,12 +48,17 @@ class LinearMap:
     """Linear map from symmetric order-n matrices to R^m, stored as svec rows.
 
     The map owns ``rows`` and makes it read-only, so the matrix stack that
-    :meth:`matrices` builds from it once stays valid for the map's lifetime.
+    :meth:`matrices` builds from it once, and the row supports that
+    :meth:`support_groups` reads from it once, stay valid for the map's
+    lifetime.
     """
 
     n: int
     rows: np.ndarray  # (m, tri_len(n)), read-only
     _mats: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _groups: tuple[SupportGroup, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
@@ -61,6 +87,62 @@ class LinearMap:
             self._mats = smat(self.rows)
             self._mats.flags.writeable = False
         return self._mats
+
+    def support_groups(self) -> tuple[SupportGroup, ...]:
+        """The rows grouped by support size s, ascending, read from ``rows`` once.
+
+        The support of A_i is the set of rows (equally, columns) where it has
+        a nonzero entry.  Blocks are cut from ``rows`` with the scaling
+        :func:`smat` applies, so each equals ``smat(rows[i])[S, S]`` bit for
+        bit; a full-support group (s = n) holds whole matrices instead, the
+        cached :meth:`matrices` stack when it covers every row.
+        """
+        if self._groups is None:
+            n, m = self.n, self.m
+            iu, ju = np.triu_indices(n)
+            nz = self.rows != 0
+            # svec rows run along the upper triangle row by row: a row of A_i
+            # is one contiguous run, a column is one run after this reorder
+            by_col = np.lexsort((iu, ju))
+            mask = np.logical_or.reduceat(nz, np.flatnonzero(np.diff(iu, prepend=-1)), axis=1)
+            mask |= np.logical_or.reduceat(
+                nz[:, by_col], np.flatnonzero(np.diff(ju[by_col], prepend=-1)), axis=1
+            )
+            sizes = np.count_nonzero(mask, axis=1)
+            groups = []
+            for s in np.unique(sizes):
+                index = np.flatnonzero(sizes == s)
+                support = np.nonzero(mask[index])[1].reshape(index.size, s)
+                if s == n:
+                    blocks = self.matrices() if index.size == m else smat(self.rows[index])
+                else:
+                    a, c = support[:, :, None], support[:, None, :]
+                    lo, hi = np.minimum(a, c), np.maximum(a, c)
+                    blocks = self.rows[index[:, None, None], lo * (2 * n - lo + 1) // 2 + hi - lo]
+                    blocks[:, ~np.eye(s, dtype=bool)] /= SQRT2
+                for arr in (index, support, blocks):
+                    arr.flags.writeable = False
+                groups.append(SupportGroup(index=index, support=support, blocks=blocks))
+            self._groups = tuple(groups)
+        return self._groups
+
+    def congruence(self, U: np.ndarray) -> np.ndarray:
+        """The stack U' A_i U of all constraints, ``(m, c, c)`` for an ``(n, c)`` U.
+
+        Each row is read through its support (:meth:`support_groups`): a row
+        nonzero on s < n rows and columns costs O(s*c*c + s*s*c), and a
+        full-support row is the dense product ``U' (A_i U)``.  Outside the
+        support the dense product only adds exact zeros, so both give the
+        same bits.
+        """
+        groups = self.support_groups()
+        if len(groups) == 1:
+            return groups[0].congruence(U)
+        c = U.shape[1]
+        G = np.empty((self.m, c, c))
+        for g in groups:
+            G[g.index] = g.congruence(U)
+        return G
 
     def restrict(self, Q: np.ndarray) -> LinearMap:
         """The map restricted to the face range of an (n, k) ``Q``: rows svec(Q' A_i Q)."""

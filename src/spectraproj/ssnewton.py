@@ -102,8 +102,7 @@ def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
         return np.zeros((m, m))
     if p == n:
         return amap.rows @ amap.rows.T
-    U = dec.U
-    G = np.matmul(U.T[None, :, :], np.matmul(amap.matrices(), U))
+    G = amap.congruence(dec.U)
     w = _weights(dec.lam, p, 0)
     Gf = G.reshape(m, n * n)
     J = (Gf * w.ravel()) @ Gf.T
@@ -211,8 +210,12 @@ def newton_solve(
     * digits lost to cond(J) + digits gained
       in relres exceed cond_budget             -> SUSPECTED_DEGENERATE
     * k reached max_iter                       -> ITER_LIMIT
+
+    A negative ``max_iter`` raises ValueError: the trace needs one iterate.
     """
     opts = opts or NewtonOptions()
+    if opts.max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {opts.max_iter}")
     m = inst.m
     y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
     b_scale = 1.0 + np.linalg.norm(inst.b)

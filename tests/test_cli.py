@@ -321,6 +321,22 @@ def test_experiment_needs_a_worker(tmp_path):
         _run("experiment", "noslater_table", "--workers", "0", "--out", str(tmp_path / "o"))
 
 
+def test_experiment_needs_a_seed(tmp_path):
+    with pytest.raises(SystemExit, match="--seeds must be at least 1"):
+        _run("experiment", "noslater_table", "--seeds", "0", "--out", str(tmp_path / "o"))
+
+
+def test_negative_iteration_cap_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit, match="--max-iter must be at least 0"):
+        _run("solve", "--gen", "RandomSlater", "--n", "5", "--max-iter", "-1",
+             "--out", str(tmp_path / "o"))
+
+
+def test_generated_order_must_be_positive(tmp_path):
+    with pytest.raises(SystemExit, match="--n must be at least 1"):
+        _run("solve", "--gen", "Elliptope", "--n", "0", "--out", str(tmp_path / "o"))
+
+
 def test_singularity_walk_artifacts(tmp_path, capsys):
     out = tmp_path / "demo"
     assert _run("experiment", "singularity_demo", "--out", str(out)) == EXIT_OK

@@ -198,6 +198,26 @@ def test_matrices_are_built_once_and_read_only():
         amap.rows[0, 0] = 1.0
 
 
+def test_support_groups_are_cached_and_read_only():
+    mats = np.zeros((3, 4, 4))
+    mats[0, 2, 2] = 1.0
+    mats[1, 0, 3] = mats[1, 3, 0] = 0.5
+    mats[2] = np.eye(4)
+    amap = LinearMap.from_matrices(mats)
+    groups = amap.support_groups()
+    assert amap.support_groups() is groups
+    assert [g.index.tolist() for g in groups] == [[0], [1], [2]]
+    assert [g.support.tolist() for g in groups] == [[[2]], [[0, 3]], [[0, 1, 2, 3]]]
+    assert np.array_equal(groups[1].blocks, [[[0.0, 0.5], [0.5, 0.0]]])
+    for g in groups:
+        for arr in (g.index, g.support, g.blocks):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 7
+    # one group covering every row holds the cached stack itself
+    dense = _rand_map(4, 3, np.random.default_rng(13))
+    assert dense.support_groups()[0].blocks is dense.matrices()
+
+
 def test_restrict_is_the_congruence_of_every_constraint():
     rng = np.random.default_rng(10)
     amap = _rand_map(5, 4, rng)

@@ -3,17 +3,22 @@ import io
 import numpy as np
 import pytest
 
+from spectraproj import model
 from spectraproj.instances import (
+    FAMILIES,
+    GeneratorSpec,
     gen_dual_unattained,
     gen_elliptope,
     gen_planted_noslater,
     gen_random_slater,
+    generate,
 )
-from spectraproj.model import residual_F
+from spectraproj.model import LinearMap, residual_F
 from spectraproj.ssnewton import (
     NewtonOptions,
     NewtonStatus,
     _dir_deriv_from_dec,
+    _jacobian_from_dec,
     _weights,
     dir_deriv_proj,
     jacobian,
@@ -21,7 +26,7 @@ from spectraproj.ssnewton import (
     newton_solve,
     trace_to_csv,
 )
-from spectraproj.symcore import eig_sym
+from spectraproj.symcore import eig_sym, smat
 
 
 def _sym(rng, n, scale=1.0):
@@ -126,6 +131,67 @@ def test_jacobian_matches_finite_differences():
         checked += 1
 
 
+def _dense_newton_matrix(amap, dec):
+    # the dense reference: every G_i = U'(A_i U) from the full matrix stack
+    U, n = dec.U, dec.n
+    G = np.matmul(U.T[None, :, :], np.matmul(smat(amap.rows), U))
+    Gf = G.reshape(amap.m, n * n)
+    J = (Gf * _weights(dec.lam, dec.p, 0).ravel()) @ Gf.T
+    return 0.5 * (J + J.T)
+
+
+def _mixed_point(amap, rng):
+    # a decomposition with 0 < p < n, so the mixed-block weights are in play
+    for _ in range(50):
+        dec = eig_sym(_sym(rng, amap.n) + amap.adjoint(rng.standard_normal(amap.m)))
+        if 0 < dec.p < dec.n:
+            return dec
+    raise AssertionError("no point with 0 < p < n")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_newton_matrix_from_supports_is_bitwise_the_dense_one(family):
+    inst = generate(GeneratorSpec(family=family, n=4, seed=0))
+    dec = _mixed_point(inst.map, np.random.default_rng(11))
+    assert np.array_equal(_jacobian_from_dec(inst.map, dec), _dense_newton_matrix(inst.map, dec))
+
+
+def test_newton_matrix_from_mixed_supports_is_bitwise_the_dense_one():
+    rng = np.random.default_rng(12)
+    n = 6
+    full = _sym(rng, n)
+    diag = np.zeros((n, n))
+    diag[4, 4] = 1.7
+    off = np.zeros((n, n))
+    off[1, 3] = off[3, 1] = -0.6
+    block = np.zeros((n, n))
+    block[np.ix_([0, 2, 5], [0, 2, 5])] = _sym(rng, 3)
+    # rows out of support order: one entry, full, one off-diagonal pair,
+    # all zero, a 3-by-3 block, full
+    mats = [diag, full, off, np.zeros((n, n)), block, _sym(rng, n)]
+    amap = LinearMap.from_matrices(mats)
+    assert [g.support.shape[1] for g in amap.support_groups()] == [0, 1, 2, 3, n]
+    dec = _mixed_point(amap, rng)
+    assert np.array_equal(_jacobian_from_dec(amap, dec), _dense_newton_matrix(amap, dec))
+    U = dec.U
+    assert np.array_equal(amap.congruence(U), np.matmul(U.T, np.matmul(smat(amap.rows), U)))
+
+
+def test_elliptope_solve_never_builds_the_dense_stack(monkeypatch):
+    shapes = []
+
+    def recording_smat(v):
+        shapes.append(np.shape(v))
+        return smat(v)
+
+    inst = gen_elliptope(12, seed=3)
+    monkeypatch.setattr(model, "smat", recording_smat)
+    trace = newton_solve(inst)
+    assert trace.status == NewtonStatus.SOLVED
+    assert shapes and all(len(shape) == 1 for shape in shapes)
+    assert inst.map._mats is None
+
+
 def test_jacobian_is_psd_along_the_iteration():
     inst = gen_random_slater(8, 10, seed=3)
     trace = newton_solve(inst)
@@ -175,6 +241,12 @@ def test_conditioning_stop_reports_degeneracy_suspicion():
     assert trace.status == NewtonStatus.SUSPECTED_DEGENERATE
     assert trace.cond_final >= 1e10
     assert 1e-9 <= trace.relres_final <= 1e-6
+
+
+def test_negative_iteration_cap_is_refused():
+    inst = gen_random_slater(5, 4, seed=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        newton_solve(inst, opts=NewtonOptions(max_iter=-1))
 
 
 def test_iteration_cap_status():
