@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from spectraproj import model
+from spectraproj import model, ssnewton
 from spectraproj.instances import (
     FAMILIES,
     GeneratorSpec,
@@ -149,11 +149,92 @@ def _mixed_point(amap, rng):
     raise AssertionError("no point with 0 < p < n")
 
 
+def _is_diagonal(amap):
+    groups = amap.support_groups()
+    return len(groups) == 1 and groups[0].support.shape[1] == 1
+
+
+def _assert_matches_dense(amap, dec):
+    # the Hadamard form sums in another order than the dense product, so it
+    # is held to a few ulps of max|J| instead of bit identity
+    J = _jacobian_from_dec(amap, dec)
+    ref = _dense_newton_matrix(amap, dec)
+    assert np.abs(J - ref).max() <= 1e-14 * np.abs(J).max()
+    assert np.array_equal(J, J.T)
+    eig_J, _ = jacobian_spectrum(J)
+    assert eig_J[-1] >= -1e-12 * max(eig_J[0], 1.0)
+    # J d against the map applied to the directional derivative, which never
+    # forms a Newton matrix; with no zero bucket both use the same weights
+    assert dec.z == 0
+    rng = np.random.default_rng(13)
+    for d in rng.standard_normal((3, amap.m)):
+        Jd = amap.apply(_dir_deriv_from_dec(dec, amap.adjoint(d)))
+        assert np.linalg.norm(J @ d - Jd) <= 1e-13 * max(np.abs(J).max(), 1.0) * np.linalg.norm(d)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_newton_matrix_from_supports_is_bitwise_the_dense_one(family):
     inst = generate(GeneratorSpec(family=family, n=4, seed=0))
     dec = _mixed_point(inst.map, np.random.default_rng(11))
-    assert np.array_equal(_jacobian_from_dec(inst.map, dec), _dense_newton_matrix(inst.map, dec))
+    if _is_diagonal(inst.map):
+        _assert_matches_dense(inst.map, dec)
+    else:
+        assert np.array_equal(_jacobian_from_dec(inst.map, dec), _dense_newton_matrix(inst.map, dec))
+
+
+def test_only_the_all_diagonal_families_leave_the_dense_product():
+    bitwise = [
+        f for f in FAMILIES if not _is_diagonal(generate(GeneratorSpec(family=f, n=4, seed=0)).map)
+    ]
+    assert bitwise == [f for f in FAMILIES if f not in ("Elliptope", "DualGapFace")]
+
+
+def _point_with_spectrum(lam, rng):
+    Q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
+    return eig_sym((Q * lam) @ Q.T)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        [3.0, 1.5, 0.7, -0.2, -1.0, -2.5, -4.0],  # p = 3, q = 4
+        [2.0, -0.3, -0.8, -1.1, -1.9, -2.4, -3.0],  # p = 1
+        [2.0, 1.6, 1.1, 0.9, 0.4, 0.2, -1.0],  # q = 1
+        [-0.1, -0.3, -0.8, -1.1, -1.9, -2.4, -3.0],  # p = 0
+        [3.0, 2.6, 2.1, 1.9, 1.4, 1.2, 0.5],  # p = n
+    ],
+)
+def test_diagonal_newton_matrix_matches_the_dense_one(lam):
+    # one nonzero per row, at scrambled diagonal positions (one repeated),
+    # with non-unit and negative scales, and m < n
+    rng = np.random.default_rng(14)
+    n = len(lam)
+    mats = []
+    for k, beta in zip([5, 1, 6, 2, 5], [1.7, -0.5, 1.0, 1.7, -0.5]):
+        A = np.zeros((n, n))
+        A[k, k] = beta
+        mats.append(A)
+    amap = LinearMap.from_matrices(mats)
+    assert _is_diagonal(amap)
+    _assert_matches_dense(amap, _point_with_spectrum(lam, rng))
+
+
+def test_map_with_an_empty_row_keeps_the_dense_product(monkeypatch):
+    rng = np.random.default_rng(15)
+    n = 5
+    diag, scaled = np.zeros((n, n)), np.zeros((n, n))
+    diag[3, 3] = 1.0
+    scaled[0, 0] = 1.7
+    amap = LinearMap.from_matrices([diag, np.zeros((n, n)), scaled])
+    assert [g.support.shape[1] for g in amap.support_groups()] == [0, 1]
+    calls = []
+    congruence = LinearMap.congruence
+    monkeypatch.setattr(
+        LinearMap, "congruence", lambda self, U: calls.append(U) or congruence(self, U)
+    )
+    dec = _point_with_spectrum([2.0, 1.0, -0.5, -1.5, -3.0], rng)
+    assert np.array_equal(_jacobian_from_dec(amap, dec), _dense_newton_matrix(amap, dec))
+    assert len(calls) == 1
 
 
 def test_newton_matrix_from_mixed_supports_is_bitwise_the_dense_one():
@@ -190,6 +271,28 @@ def test_elliptope_solve_never_builds_the_dense_stack(monkeypatch):
     assert trace.status == NewtonStatus.SOLVED
     assert shapes and all(len(shape) == 1 for shape in shapes)
     assert inst.map._mats is None
+
+
+def test_elliptope_solve_never_forms_the_congruence_stack(monkeypatch):
+    def refuse(self, U):
+        raise AssertionError("congruence called on an all-diagonal map")
+
+    kernel_calls = []
+    kernel = ssnewton._diagonal_newton_matrix
+    monkeypatch.setattr(LinearMap, "congruence", refuse)
+    monkeypatch.setattr(
+        ssnewton, "_diagonal_newton_matrix", lambda *a: kernel_calls.append(a) or kernel(*a)
+    )
+    trace = newton_solve(gen_elliptope(30, seed=2))
+    assert trace.status == NewtonStatus.SOLVED
+    assert kernel_calls
+
+
+@pytest.mark.parametrize("seed", range(1000, 1005))
+def test_elliptope_solves_keep_their_iteration_count(seed):
+    trace = newton_solve(gen_elliptope(100, seed=seed))
+    assert trace.status == NewtonStatus.SOLVED
+    assert trace.k_final == 19
 
 
 def test_jacobian_is_psd_along_the_iteration():
