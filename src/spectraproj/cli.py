@@ -18,8 +18,9 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .instances import (
     FAMILIES,
     NOSLATER_SUITE,
     GeneratorSpec,
+    gen_elliptope,
+    gen_planted_noslater,
+    gen_random_slater,
+    gen_vontope,
     generate,
     noslater_suite_instance,
 )
@@ -42,14 +47,35 @@ from .model import (
     preprocess_surjective,
     primal_objective,
     save_instance,
+    scaled_primal_residual,
 )
 from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, newton_solve, trace_to_csv
 from .symcore import smat, svec
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
+EXIT_USAGE = 2
 EXIT_FACE_ZERO = 3
 EXIT_INFEASIBLE = 4
+
+
+def _usage_error(msg: str) -> NoReturn:
+    """Report a usage error in argparse's format and exit with ``EXIT_USAGE``."""
+    print(f"spectraproj: error: {msg}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _read_file(flag: str, path: str, read: Callable[[str], Any]) -> Any:
+    """``read(path)``, with a missing or malformed file reported as a usage error."""
+    try:
+        return read(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _usage_error(f"cannot load {flag} {path}: {type(exc).__name__}: {exc}")
+
+
+def _read_point(path: str) -> np.ndarray:
+    payload = np.array(json.loads(Path(path).read_text())["X"], dtype=float)
+    return payload if payload.ndim == 2 else smat(payload)
 
 
 def _default_seed() -> int:
@@ -66,7 +92,7 @@ def _parse_emit(text: str) -> set[str]:
 
 def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
     if args.max_iter < 0:
-        raise SystemExit("--max-iter must be at least 0")
+        _usage_error("--max-iter must be at least 0")
     return NewtonOptions(
         eps_final=args.eps,
         cond_budget=args.cond_budget,
@@ -76,7 +102,7 @@ def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
 
 def _resolve_instance(args: argparse.Namespace) -> BapInstance:
     if args.instance is not None:
-        inst = load_instance(args.instance)
+        inst = _read_file("--instance", args.instance, load_instance)
         # instance files are untrusted: drop dependent rows up front so the
         # solver sees a surjective map, and reject inconsistent systems here
         red_map, red_b, removed = preprocess_surjective(inst.map, inst.b)
@@ -86,9 +112,9 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
             inst = BapInstance(map=red_map, b=red_b, W=inst.W, meta=meta)
         return inst
     if args.gen is None:
-        raise SystemExit("either --instance PATH or --gen FAMILY is required")
+        _usage_error("either --instance PATH or --gen FAMILY is required")
     if args.n < 1:
-        raise SystemExit("--n must be at least 1")
+        _usage_error("--n must be at least 1")
     extras = {
         key: val
         for key, val in (("sd", args.sd), ("iips", args.iips), ("support", args.support))
@@ -201,7 +227,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 entry["rows_removed"] = r.step.rows_removed
         rounds.append(entry)
     trace, X_lift = res.rounds[-1].trace, res.X
-    pf = float(np.linalg.norm(inst.map.apply(X_lift) - inst.b) / (1.0 + np.linalg.norm(inst.b)))
+    pf = scaled_primal_residual(inst, X_lift)
     report: dict[str, Any] = {
         "config": _config_echo(args),
         "rounds": rounds,
@@ -236,8 +262,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     report: dict[str, Any] = {"config": _config_echo(args)}
     X: np.ndarray | None = None
     if args.x_json is not None:
-        payload = np.array(json.loads(Path(args.x_json).read_text())["X"], dtype=float)
-        X = payload if payload.ndim == 2 else smat(payload)
+        X = _read_file("--x-json", args.x_json, _read_point)
+        if X.shape != (inst.n, inst.n):
+            _usage_error(f"--x-json point has shape {X.shape}, the instance has order {inst.n}")
     elif args.at_planted:
         planted = inst.meta.get("planted", {})
         for key in ("xhat", "x_star", "vertex"):
@@ -245,7 +272,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 X = smat(np.asarray(planted[key], dtype=float))
                 break
         if X is None:
-            raise SystemExit("instance metadata has no planted point")
+            _usage_error("instance metadata has no planted point")
     if X is not None:
         try:
             report["degeneracy"] = is_nondegenerate(inst, X).to_dict()
@@ -359,64 +386,32 @@ def _cells_to_tables(cells: list[dict[str, Any]]) -> tuple[str, str, str, str]:
 
 def _suite_cells(suite: str, seeds: int, base_seed: int) -> list[dict[str, Any]]:
     """Cell definitions: a label plus the list of instance thunks to run."""
-    cells: list[dict[str, Any]] = []
-
-    def cell(label: str, makers: list[Callable[[], BapInstance]]) -> None:
-        cells.append({"cell": label, "makers": makers})
-
+    makers: dict[str, Callable[[int], BapInstance]]
     if suite == "slater_table":
-        from .instances import gen_random_slater
-
-        for n in (10, 20, 50, 100):
-            cell(
-                f"slater_n{n}",
-                [
-                    (lambda n=n, s=s: gen_random_slater(n, 2 * n, seed=base_seed + s))
-                    for s in range(seeds)
-                ],
-            )
+        makers = {
+            f"slater_n{n}": lambda s, n=n: gen_random_slater(n, 2 * n, seed=s)
+            for n in (10, 20, 50, 100)
+        }
     elif suite == "noslater_table":
-        for n in sorted(NOSLATER_SUITE):
-            cell(
-                f"noslater_n{n}",
-                [
-                    (lambda n=n, s=s: noslater_suite_instance(n, base_seed + s))
-                    for s in range(seeds)
-                ],
-            )
+        makers = {
+            f"noslater_n{n}": partial(noslater_suite_instance, n) for n in sorted(NOSLATER_SUITE)
+        }
     elif suite == "ellip_vontope_table":
-        from .instances import gen_elliptope, gen_vontope
-
-        cell(
-            "elliptope_n10_random",
-            [
-                (lambda s=s: gen_elliptope(10, seed=base_seed + s, w_mode="random"))
-                for s in range(seeds)
-            ],
-        )
-        cell(
-            "vontope_n3_rank1",
-            [
-                (lambda s=s: gen_vontope(3, seed=base_seed + s, post_fr=True, w_mode="rank1"))
-                for s in range(seeds)
-            ],
-        )
-        cell(
-            "vontope_n4_random",
-            [
-                (lambda s=s: gen_vontope(4, seed=base_seed + s, post_fr=True, w_mode="random"))
-                for s in range(seeds)
-            ],
-        )
+        makers = {
+            "elliptope_n10_random": lambda s: gen_elliptope(10, seed=s, w_mode="random"),
+            "vontope_n3_rank1": lambda s: gen_vontope(3, seed=s, post_fr=True, w_mode="rank1"),
+            "vontope_n4_random": lambda s: gen_vontope(4, seed=s, post_fr=True, w_mode="random"),
+        }
     else:
-        raise SystemExit(f"unknown suite {suite!r}")
-    return cells
+        _usage_error(f"unknown suite {suite!r}")
+    return [
+        {"cell": label, "makers": [partial(make, base_seed + s) for s in range(seeds)]}
+        for label, make in makers.items()
+    ]
 
 
 def _run_singularity_demo(args: argparse.Namespace) -> int:
     """The stall-then-repair walk: one planted instance, before/after rows."""
-    from .instances import gen_planted_noslater
-
     out = Path(args.out)
     inst = gen_planted_noslater(
         15, 7, sd_target=1, iips_target=1, support_size=5, seed=args.seed
@@ -466,9 +461,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.out)
     opts = _options_from_args(args)
     if args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
+        _usage_error("--workers must be at least 1")
     if args.seeds < 1:
-        raise SystemExit("--seeds must be at least 1")
+        _usage_error("--seeds must be at least 1")
     cells = _suite_cells(args.suite, args.seeds, args.seed)
     # collected in submission order, so the bytes do not depend on --workers
     with ThreadPoolExecutor(max_workers=args.workers) as pool:

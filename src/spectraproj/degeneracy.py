@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .model import BapInstance
+from .model import BapInstance, scaled_primal_residual
 from .ssnewton import NewtonTrace
 from .symcore import SpectralDecomp, eig_sym
 
@@ -57,7 +57,7 @@ def _feasibility_guard(inst: BapInstance, X: np.ndarray) -> SpectralDecomp:
     lo = dec.lam[-1]
     if lo < -1e-9 * max(1.0, abs(dec.lam[0])):
         raise ValueError(f"X is not psd enough for a rank split: min eig {lo:.3e}")
-    pf = np.linalg.norm(inst.map.apply(X) - inst.b) / (1.0 + np.linalg.norm(inst.b))
+    pf = scaled_primal_residual(inst, X)
     if pf > FEAS_TOL:
         raise ValueError(f"X violates the linear constraints: scaled residual {pf:.3e}")
     return dec
@@ -170,7 +170,7 @@ def jacobian_degeneracy_crosscheck(
     eig_J = trace.iterates[-1].eig_J
     ratio = float(eig_J[-1] / eig_J[0]) if eig_J.size and eig_J[0] > 0 else 0.0
     nonsing = ratio > RANK_TOL
-    pf = np.linalg.norm(inst.map.apply(X) - inst.b) / (1.0 + np.linalg.norm(inst.b))
+    pf = scaled_primal_residual(inst, X)
     if pf > FEAS_TOL:
         return CrosscheckReport(
             report=None, jacobian_nonsingular=nonsing, sigma_ratio_J=ratio,

@@ -10,37 +10,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 import scipy.linalg
 
-from .symcore import SQRT2, project_face, project_psd, smat, svec, tri_len
+from .symcore import project_face, project_psd, smat, svec, tri_len
 
 
 class InfeasibleManifoldError(Exception):
     """The linear equations A(X) = b are inconsistent (infeasible linear manifold)."""
-
-
-@dataclass(frozen=True)
-class SupportGroup:
-    """The rows of a map whose constraint matrices have ``s`` nonzero rows and columns.
-
-    Row ``index[g]`` of the map is nonzero only on the rows and columns
-    ``support[g]`` (ascending, shape ``(k, s)``), where it equals
-    ``blocks[g]`` (shape ``(k, s, s)``).  All three arrays are read-only.
-    """
-
-    index: np.ndarray
-    support: np.ndarray
-    blocks: np.ndarray
-
-    def congruence(self, U: np.ndarray) -> np.ndarray:
-        """U' A_i U for the group's rows, read through their supports: ``(k, c, c)``."""
-        if self.support.shape[1] == U.shape[0]:
-            return np.matmul(U.T[None, :, :], np.matmul(self.blocks, U))
-        US = U[self.support]
-        return np.matmul(np.swapaxes(US, 1, 2), np.matmul(self.blocks, US))
 
 
 @dataclass
@@ -48,17 +28,13 @@ class LinearMap:
     """Linear map from symmetric order-n matrices to R^m, stored as svec rows.
 
     The map owns ``rows`` and makes it read-only, so the matrix stack that
-    :meth:`matrices` builds from it once, and the row supports that
-    :meth:`support_groups` reads from it once, stay valid for the map's
-    lifetime.
+    :meth:`matrices` builds from it once, and :attr:`diagonal_rows`, stay
+    valid for the map's lifetime.
     """
 
     n: int
     rows: np.ndarray  # (m, tri_len(n)), read-only
     _mats: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _groups: tuple[SupportGroup, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
@@ -88,61 +64,21 @@ class LinearMap:
             self._mats.flags.writeable = False
         return self._mats
 
-    def support_groups(self) -> tuple[SupportGroup, ...]:
-        """The rows grouped by support size s, ascending, read from ``rows`` once.
+    @cached_property
+    def diagonal_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(k, beta)`` when every row i is beta_i e_k e_k' with k = k[i], else None.
 
-        The support of A_i is the set of rows (equally, columns) where it has
-        a nonzero entry.  Blocks are cut from ``rows`` with the scaling
-        :func:`smat` applies, so each equals ``smat(rows[i])[S, S]`` bit for
-        bit; a full-support group (s = n) holds whole matrices instead, the
-        cached :meth:`matrices` stack when it covers every row.
+        Read from ``rows`` once; both arrays are read-only.
         """
-        if self._groups is None:
-            n, m = self.n, self.m
-            iu, ju = np.triu_indices(n)
-            nz = self.rows != 0
-            # svec rows run along the upper triangle row by row: a row of A_i
-            # is one contiguous run, a column is one run after this reorder
-            by_col = np.lexsort((iu, ju))
-            mask = np.logical_or.reduceat(nz, np.flatnonzero(np.diff(iu, prepend=-1)), axis=1)
-            mask |= np.logical_or.reduceat(
-                nz[:, by_col], np.flatnonzero(np.diff(ju[by_col], prepend=-1)), axis=1
-            )
-            sizes = np.count_nonzero(mask, axis=1)
-            groups = []
-            for s in np.unique(sizes):
-                index = np.flatnonzero(sizes == s)
-                support = np.nonzero(mask[index])[1].reshape(index.size, s)
-                if s == n:
-                    blocks = self.matrices() if index.size == m else smat(self.rows[index])
-                else:
-                    a, c = support[:, :, None], support[:, None, :]
-                    lo, hi = np.minimum(a, c), np.maximum(a, c)
-                    blocks = self.rows[index[:, None, None], lo * (2 * n - lo + 1) // 2 + hi - lo]
-                    blocks[:, ~np.eye(s, dtype=bool)] /= SQRT2
-                for arr in (index, support, blocks):
-                    arr.flags.writeable = False
-                groups.append(SupportGroup(index=index, support=support, blocks=blocks))
-            self._groups = tuple(groups)
-        return self._groups
-
-    def congruence(self, U: np.ndarray) -> np.ndarray:
-        """The stack U' A_i U of all constraints, ``(m, c, c)`` for an ``(n, c)`` U.
-
-        Each row is read through its support (:meth:`support_groups`): a row
-        nonzero on s < n rows and columns costs O(s*c*c + s*s*c), and a
-        full-support row is the dense product ``U' (A_i U)``.  Outside the
-        support the dense product only adds exact zeros, so both give the
-        same bits.
-        """
-        groups = self.support_groups()
-        if len(groups) == 1:
-            return groups[0].congruence(U)
-        c = U.shape[1]
-        G = np.empty((self.m, c, c))
-        for g in groups:
-            G[g.index] = g.congruence(U)
-        return G
+        d = np.arange(self.n)
+        on_diag = self.rows[:, d * (2 * self.n - d + 1) // 2]  # svec positions of the diagonal
+        k = np.argmax(on_diag != 0, axis=1)
+        beta = on_diag[np.arange(self.m), k]
+        # a nonzero diagonal entry in each row, and no other nonzero anywhere
+        if self.m == 0 or not beta.all() or np.count_nonzero(self.rows) != self.m:
+            return None
+        k.flags.writeable = beta.flags.writeable = False
+        return k, beta
 
     def restrict(self, Q: np.ndarray) -> LinearMap:
         """The map restricted to the face range of an (n, k) ``Q``: rows svec(Q' A_i Q)."""
@@ -254,6 +190,11 @@ def residual_F_face(
     return inst.map.apply(X) - inst.b, X
 
 
+def scaled_primal_residual(inst: BapInstance, X: np.ndarray) -> float:
+    """The primal feasibility ||A(X) - b|| / (1 + ||b||) of a point X."""
+    return float(np.linalg.norm(inst.map.apply(X) - inst.b) / (1.0 + np.linalg.norm(inst.b)))
+
+
 def kkt_residuals(inst: BapInstance, triple: KktTriple) -> dict[str, float]:
     """Scaled KKT residuals of a candidate triple.
 
@@ -263,7 +204,7 @@ def kkt_residuals(inst: BapInstance, triple: KktTriple) -> dict[str, float]:
     |<Z,X>|/(1+||X||*||Z||).
     """
     X, y, Z = triple.X, triple.y, triple.Z
-    pf = np.linalg.norm(inst.map.apply(X) - inst.b) / (1.0 + np.linalg.norm(inst.b))
+    pf = scaled_primal_residual(inst, X)
     G = X - inst.W - inst.map.adjoint(y) - Z
     df_lin = np.linalg.norm(G) / (1.0 + np.linalg.norm(inst.W))
     eX = np.linalg.eigvalsh(0.5 * (X + X.T))
@@ -274,7 +215,7 @@ def kkt_residuals(inst: BapInstance, triple: KktTriple) -> dict[str, float]:
     nZ = np.linalg.norm(Z)
     cs = abs(float(np.sum(Z * X))) / (1.0 + nX * nZ)
     return {
-        "pf": float(pf),
+        "pf": pf,
         "df_lin": float(df_lin),
         "df_cone_X": df_cone_X,
         "df_cone_Z": df_cone_Z,

@@ -114,10 +114,10 @@ def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
     generalized-Jacobian choice), which leaves the clean two-block weight
     pattern: ones on the positive-positive block, omega weights on the mixed
     block, zero on the rest.  The result is a nonnegatively weighted Gram
-    matrix, hence symmetric positive semidefinite.  A map whose every row has
-    a single nonzero, on the diagonal, takes the closed Hadamard form of
-    :func:`_diagonal_newton_matrix`; every other map weights the stack of
-    congruences U' A_i U.
+    matrix, hence symmetric positive semidefinite.  A map whose every row is
+    one diagonal entry (:attr:`LinearMap.diagonal_rows`) takes the closed
+    Hadamard form of :func:`_diagonal_newton_matrix`; every other map weights
+    the dense stack of congruences U' A_i U.
     """
     m = amap.m
     p = dec.p
@@ -126,11 +126,10 @@ def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
         return np.zeros((m, m))
     if p == n:
         return amap.rows @ amap.rows.T
-    groups = amap.support_groups()
-    if len(groups) == 1 and groups[0].support.shape[1] == 1:
-        g = groups[0]
-        return _diagonal_newton_matrix(dec.U[g.support[:, 0]], g.blocks[:, 0, 0], dec.lam, p)
-    G = amap.congruence(dec.U)
+    if amap.diagonal_rows is not None:
+        k, beta = amap.diagonal_rows
+        return _diagonal_newton_matrix(dec.U[k], beta, dec.lam, p)
+    G = np.matmul(dec.U.T, np.matmul(amap.matrices(), dec.U))
     w = _weights(dec.lam, p, 0)
     Gf = G.reshape(m, n * n)
     J = (Gf * w.ravel()) @ Gf.T

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import spectraproj
 
 from spectraproj.cli import (
     EXIT_FACE_ZERO,
@@ -12,13 +18,35 @@ from spectraproj.cli import (
     main,
 )
 from spectraproj.degeneracy import FEAS_TOL
-from spectraproj.instances import fixture_dual_gap_face, fixture_sd2_chain
-from spectraproj.model import BapInstance, LinearMap, load_instance, save_instance
+from spectraproj.instances import (
+    GeneratorSpec,
+    fixture_dual_gap_face,
+    fixture_sd2_chain,
+    generate,
+)
+from spectraproj.model import (
+    BapInstance,
+    LinearMap,
+    dumps_json,
+    instance_to_dict,
+    load_instance,
+    save_instance,
+)
 from spectraproj.symcore import svec
 
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _usage_error(capsys, *argv):
+    # a usage error exits 2 with argparse's message prefix on stderr
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spectraproj: error: ")
+    return err
 
 
 def test_version_flag(capsys):
@@ -62,8 +90,77 @@ def test_emit_filter(tmp_path):
 
 
 def test_solve_requires_a_source(capsys):
-    with pytest.raises(SystemExit):
-        _run("solve", "--out", "/tmp/nowhere")
+    assert "--gen FAMILY is required" in _usage_error(capsys, "solve", "--out", "/tmp/nowhere")
+
+
+def _instance_payload():
+    return json.loads(
+        dumps_json(instance_to_dict(generate(GeneratorSpec(family="Elliptope", n=4))))
+    )
+
+
+def _corrupt_w(payload):
+    payload["W"] = payload["W"][:-1]
+    return json.dumps(payload)
+
+
+def _corrupt_m(payload):
+    payload["m"] += 1
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "corrupt, reason",
+    [
+        (_corrupt_w, "ValueError: 9 is not n*(n+1)/2"),
+        (_corrupt_m, "ValueError: declared m does not match"),
+        (lambda payload: json.dumps(payload)[:-1], "JSONDecodeError"),
+    ],
+    ids=["W-length", "m", "json"],
+)
+def test_malformed_instance_file_is_a_usage_error(tmp_path, capsys, corrupt, reason):
+    src = tmp_path / "bad.json"
+    src.write_text(corrupt(_instance_payload()))
+    err = _usage_error(capsys, "solve", "--instance", str(src), "--out", str(tmp_path / "o"))
+    assert f"cannot load --instance {src}: {reason}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_instance_file_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "absent.json"
+    err = _usage_error(capsys, "fr", "--instance", str(src), "--out", str(tmp_path / "o"))
+    assert f"cannot load --instance {src}: FileNotFoundError" in err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{", "JSONDecodeError"),
+        (json.dumps({"Y": np.eye(6).tolist()}), "KeyError: 'X'"),
+        (json.dumps({"X": np.eye(5).tolist()}), "shape (5, 5), the instance has order 6"),
+    ],
+    ids=["json", "key", "order"],
+)
+def test_malformed_point_file_is_a_usage_error(tmp_path, capsys, text, reason):
+    xfile = tmp_path / "x.json"
+    xfile.write_text(text)
+    err = _usage_error(
+        capsys, "diagnose", "--gen", "Elliptope", "--n", "6", "--x-json", str(xfile),
+        "--out", str(tmp_path / "o"),
+    )
+    assert reason in err
+
+
+def test_usage_error_is_the_process_exit_status(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(spectraproj.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectraproj.cli", "solve", "--gen", "Elliptope",
+         "--n", "0", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "spectraproj: error: --n must be at least 1\n"
 
 
 def test_gen_writes_loadable_instance(tmp_path, capsys):
@@ -265,10 +362,12 @@ def test_diagnose_infeasible_point_gets_no_verdict(tmp_path, capsys):
     assert rep["infeasible"]["pf_abs"] > 0
 
 
-def test_diagnose_planted_requires_metadata(tmp_path):
-    with pytest.raises(SystemExit):
-        _run("diagnose", "--gen", "Elliptope", "--n", "5", "--at-planted",
-             "--out", str(tmp_path / "o"))
+def test_diagnose_planted_requires_metadata(tmp_path, capsys):
+    err = _usage_error(
+        capsys, "diagnose", "--gen", "Elliptope", "--n", "5", "--at-planted",
+        "--out", str(tmp_path / "o"),
+    )
+    assert "no planted point" in err
 
 
 def test_experiment_rows_are_deterministic_up_to_time(tmp_path):
@@ -316,25 +415,33 @@ def test_cell_cond_is_the_median_run():
     assert agg["k"] == 1.0 and agg["pct_1e-8"] == 100.0 and agg["pct_1e-13"] == 0.0
 
 
-def test_experiment_needs_a_worker(tmp_path):
-    with pytest.raises(SystemExit, match="at least 1"):
-        _run("experiment", "noslater_table", "--workers", "0", "--out", str(tmp_path / "o"))
+def test_experiment_needs_a_worker(tmp_path, capsys):
+    err = _usage_error(
+        capsys, "experiment", "noslater_table", "--workers", "0", "--out", str(tmp_path / "o")
+    )
+    assert "--workers must be at least 1" in err
 
 
-def test_experiment_needs_a_seed(tmp_path):
-    with pytest.raises(SystemExit, match="--seeds must be at least 1"):
-        _run("experiment", "noslater_table", "--seeds", "0", "--out", str(tmp_path / "o"))
+def test_experiment_needs_a_seed(tmp_path, capsys):
+    err = _usage_error(
+        capsys, "experiment", "noslater_table", "--seeds", "0", "--out", str(tmp_path / "o")
+    )
+    assert "--seeds must be at least 1" in err
 
 
-def test_negative_iteration_cap_is_a_usage_error(tmp_path):
-    with pytest.raises(SystemExit, match="--max-iter must be at least 0"):
-        _run("solve", "--gen", "RandomSlater", "--n", "5", "--max-iter", "-1",
-             "--out", str(tmp_path / "o"))
+def test_negative_iteration_cap_is_a_usage_error(tmp_path, capsys):
+    err = _usage_error(
+        capsys, "solve", "--gen", "RandomSlater", "--n", "5", "--max-iter", "-1",
+        "--out", str(tmp_path / "o"),
+    )
+    assert "--max-iter must be at least 0" in err
 
 
-def test_generated_order_must_be_positive(tmp_path):
-    with pytest.raises(SystemExit, match="--n must be at least 1"):
-        _run("solve", "--gen", "Elliptope", "--n", "0", "--out", str(tmp_path / "o"))
+def test_generated_order_must_be_positive(tmp_path, capsys):
+    err = _usage_error(
+        capsys, "solve", "--gen", "Elliptope", "--n", "0", "--out", str(tmp_path / "o")
+    )
+    assert "--n must be at least 1" in err
 
 
 def test_singularity_walk_artifacts(tmp_path, capsys):

@@ -198,24 +198,29 @@ def test_matrices_are_built_once_and_read_only():
         amap.rows[0, 0] = 1.0
 
 
-def test_support_groups_are_cached_and_read_only():
-    mats = np.zeros((3, 4, 4))
-    mats[0, 2, 2] = 1.0
-    mats[1, 0, 3] = mats[1, 3, 0] = 0.5
-    mats[2] = np.eye(4)
+def test_diagonal_rows_are_cached_and_read_only():
+    n = 4
+    mats = np.zeros((3, n, n))
+    for A, k, beta in zip(mats, [2, 0, 2], [1.7, -0.5, 1.7]):
+        A[k, k] = beta
     amap = LinearMap.from_matrices(mats)
-    groups = amap.support_groups()
-    assert amap.support_groups() is groups
-    assert [g.index.tolist() for g in groups] == [[0], [1], [2]]
-    assert [g.support.tolist() for g in groups] == [[[2]], [[0, 3]], [[0, 1, 2, 3]]]
-    assert np.array_equal(groups[1].blocks, [[[0.0, 0.5], [0.5, 0.0]]])
-    for g in groups:
-        for arr in (g.index, g.support, g.blocks):
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 7
-    # one group covering every row holds the cached stack itself
-    dense = _rand_map(4, 3, np.random.default_rng(13))
-    assert dense.support_groups()[0].blocks is dense.matrices()
+    rows = amap.diagonal_rows
+    assert amap.diagonal_rows is rows
+    k, beta = rows
+    assert k.tolist() == [2, 0, 2]
+    assert beta.tolist() == [1.7, -0.5, 1.7]
+    for arr in rows:
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    off, two, empty = mats.copy(), mats.copy(), mats.copy()
+    off[1] = 0.0
+    off[1, 0, 3] = off[1, 3, 0] = 0.5
+    two[1, 3, 3] = 1.0
+    empty[1] = 0.0
+    for other in (off, two, empty):
+        assert LinearMap.from_matrices(other).diagonal_rows is None
+    assert _rand_map(4, 3, np.random.default_rng(13)).diagonal_rows is None
+    assert LinearMap(n=3, rows=np.zeros((0, tri_len(3)))).diagonal_rows is None
 
 
 def test_restrict_is_the_congruence_of_every_constraint():

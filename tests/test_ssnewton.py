@@ -150,8 +150,7 @@ def _mixed_point(amap, rng):
 
 
 def _is_diagonal(amap):
-    groups = amap.support_groups()
-    return len(groups) == 1 and groups[0].support.shape[1] == 1
+    return amap.diagonal_rows is not None
 
 
 def _assert_matches_dense(amap, dec):
@@ -219,22 +218,16 @@ def test_diagonal_newton_matrix_matches_the_dense_one(lam):
     _assert_matches_dense(amap, _point_with_spectrum(lam, rng))
 
 
-def test_map_with_an_empty_row_keeps_the_dense_product(monkeypatch):
+def test_map_with_an_empty_row_keeps_the_dense_product():
     rng = np.random.default_rng(15)
     n = 5
     diag, scaled = np.zeros((n, n)), np.zeros((n, n))
     diag[3, 3] = 1.0
     scaled[0, 0] = 1.7
     amap = LinearMap.from_matrices([diag, np.zeros((n, n)), scaled])
-    assert [g.support.shape[1] for g in amap.support_groups()] == [0, 1]
-    calls = []
-    congruence = LinearMap.congruence
-    monkeypatch.setattr(
-        LinearMap, "congruence", lambda self, U: calls.append(U) or congruence(self, U)
-    )
+    assert amap.diagonal_rows is None
     dec = _point_with_spectrum([2.0, 1.0, -0.5, -1.5, -3.0], rng)
     assert np.array_equal(_jacobian_from_dec(amap, dec), _dense_newton_matrix(amap, dec))
-    assert len(calls) == 1
 
 
 def test_newton_matrix_from_mixed_supports_is_bitwise_the_dense_one():
@@ -251,11 +244,8 @@ def test_newton_matrix_from_mixed_supports_is_bitwise_the_dense_one():
     # all zero, a 3-by-3 block, full
     mats = [diag, full, off, np.zeros((n, n)), block, _sym(rng, n)]
     amap = LinearMap.from_matrices(mats)
-    assert [g.support.shape[1] for g in amap.support_groups()] == [0, 1, 2, 3, n]
     dec = _mixed_point(amap, rng)
     assert np.array_equal(_jacobian_from_dec(amap, dec), _dense_newton_matrix(amap, dec))
-    U = dec.U
-    assert np.array_equal(amap.congruence(U), np.matmul(U.T, np.matmul(smat(amap.rows), U)))
 
 
 def test_elliptope_solve_never_builds_the_dense_stack(monkeypatch):
@@ -274,12 +264,12 @@ def test_elliptope_solve_never_builds_the_dense_stack(monkeypatch):
 
 
 def test_elliptope_solve_never_forms_the_congruence_stack(monkeypatch):
-    def refuse(self, U):
-        raise AssertionError("congruence called on an all-diagonal map")
+    def refuse(self):
+        raise AssertionError("matrix stack built for an all-diagonal map")
 
     kernel_calls = []
     kernel = ssnewton._diagonal_newton_matrix
-    monkeypatch.setattr(LinearMap, "congruence", refuse)
+    monkeypatch.setattr(LinearMap, "matrices", refuse)
     monkeypatch.setattr(
         ssnewton, "_diagonal_newton_matrix", lambda *a: kernel_calls.append(a) or kernel(*a)
     )
