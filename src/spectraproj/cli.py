@@ -78,10 +78,6 @@ def _read_point(path: str) -> np.ndarray:
     return payload if payload.ndim == 2 else smat(payload)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("SPECTRA_SEED", "0"))
-
-
 def _parse_emit(text: str) -> set[str]:
     parts = {p.strip() for p in text.split(",") if p.strip()}
     bad = parts - {"trace", "report", "table"}
@@ -128,7 +124,10 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
         w_mode=args.w_mode,
         extras=extras,
     )
-    return generate(spec)
+    try:
+        return generate(spec)
+    except ValueError as exc:
+        _usage_error(str(exc))
 
 
 def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
@@ -157,6 +156,12 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
     _write_text(path, dumps_json(payload) + "\n")
+
+
+def _trace_row(trace: NewtonTrace) -> dict[str, Any]:
+    """How one solve ended, as the leading fields of an experiment record."""
+    return {"status": trace.status.value, "k": trace.k_final,
+            "relres": trace.relres_final, "cond": trace.cond_final}
 
 
 def _trace_summary(trace: NewtonTrace) -> dict[str, Any]:
@@ -324,10 +329,7 @@ def _run_one(inst: BapInstance, opts: NewtonOptions) -> dict[str, Any]:
     res = kkt_residuals(inst, trace.triple)
     history = trace.relres_history()
     return {
-        "status": trace.status.value,
-        "k": trace.k_final,
-        "relres": trace.relres_final,
-        "cond": trace.cond_final,
+        **_trace_row(trace),
         "pf": res["pf"],
         "df": res["df_lin"],
         "cs": res["cs"],
@@ -439,16 +441,13 @@ def _run_singularity_demo(args: argparse.Namespace) -> int:
         _write_text(out / "singularity_demo.md", md)
         _write_text(out / "singularity_demo.csv", csv)
     if "report" in args.emit:
-        before, after = first.trace, last.trace
         _write_json(
             out / "singularity_demo.json",
             {
                 "config": _config_echo(args),
                 "rows_removed": first.step.rows_removed,
-                "before": {"status": before.status.value, "k": before.k_final,
-                           "relres": before.relres_final, "cond": before.cond_final},
-                "after": {"status": after.status.value, "k": after.k_final,
-                          "relres": after.relres_final, "cond": after.cond_final},
+                "before": _trace_row(first.trace),
+                "after": _trace_row(last.trace),
             },
         )
     print(md, end="")
@@ -519,7 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen", choices=FAMILIES, help="generate an instance instead")
     src.add_argument("--n", type=int, default=10)
     src.add_argument("--m", type=int, default=None)
-    src.add_argument("--seed", type=int, default=_default_seed())
+    # a string default goes through type=int, so a bad SPECTRA_SEED is a usage error
+    src.add_argument("--seed", type=int, default=os.environ.get("SPECTRA_SEED", "0"))
     src.add_argument("--sd", type=int, default=None, help="planted singularity degree")
     src.add_argument("--iips", type=int, default=None, help="planted redundant rows")
     src.add_argument("--support", type=int, default=None, help="certificate support size")
@@ -564,6 +564,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.seed < 0:
+        _usage_error("--seed must be at least 0")
     try:
         return args.func(args)
     except FaceCollapsedError as exc:

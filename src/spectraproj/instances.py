@@ -13,13 +13,13 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import scipy.linalg
 
 from .model import BapInstance, LinearMap, load_instance, preprocess_surjective
-from .symcore import svec, tri_len
+from .symcore import diag_positions, svec, tri_len
 
 FAMILIES = (
     "Elliptope",
@@ -62,8 +62,23 @@ def _orth(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
+def _anchor(
+    rng: np.random.Generator, n: int, w_mode: str,
+    feasible: Callable[[], np.ndarray], vertex: Callable[[], np.ndarray] | None = None,
+) -> np.ndarray:
+    """The anchor W for ``w_mode``: random, ``feasible()``, or for ``"rank1"`` (where
+    a family has a ``vertex``) ``vertex()`` perturbed.  Only the mode taken draws."""
+    if w_mode == "random":
+        return _sym(rng, n)
+    if w_mode == "feasible":
+        return feasible()
+    if w_mode == "rank1" and vertex is not None:
+        return vertex() + 1e-3 * _sym(rng, n)
+    raise ValueError(f"unknown w_mode {w_mode!r}")
+
+
 def generate(spec: GeneratorSpec) -> BapInstance:
-    """Dispatch a GeneratorSpec to its family generator."""
+    """Dispatch a GeneratorSpec to its family generator; a ``ValueError`` means a bad spec."""
     fam = spec.family
     ex = spec.extras
     if fam == "Elliptope":
@@ -109,23 +124,20 @@ def gen_elliptope(n: int, seed: int = 0, w_mode: str = "random") -> BapInstance:
     """
     rng = _rng(seed, "Elliptope")
     rows = np.zeros((n, tri_len(n)))
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        rows[i] = svec(E)
+    rows[np.arange(n), diag_positions(n)] = 1.0
     b = np.ones(n)
-    if w_mode == "random":
-        W = _sym(rng, n)
-    elif w_mode == "rank1":
-        v = rng.choice([-1.0, 1.0], size=n)
-        W = np.outer(v, v) + 1e-3 * _sym(rng, n)
-    elif w_mode == "feasible":
+
+    def correlation() -> np.ndarray:
         G = rng.standard_normal((n, 2 * n))
         S = G @ G.T
         d = 1.0 / np.sqrt(np.diag(S))
-        W = S * np.outer(d, d)
-    else:
-        raise ValueError(f"unknown w_mode {w_mode!r}")
+        return S * np.outer(d, d)
+
+    def cut() -> np.ndarray:
+        v = rng.choice([-1.0, 1.0], size=n)
+        return np.outer(v, v)
+
+    W = _anchor(rng, n, w_mode, correlation, cut)
     meta = {"family": "Elliptope", "n": n, "m": n, "seed": seed, "w_mode": w_mode}
     return BapInstance(map=LinearMap(n=n, rows=rows), b=b, W=W, meta=meta)
 
@@ -134,6 +146,8 @@ def gen_random_slater(
     n: int, m: int, seed: int = 0, w_mode: str = "random"
 ) -> BapInstance:
     """Dense Gaussian constraints through a planted strictly feasible point."""
+    if not 1 <= m <= tri_len(n):
+        raise ValueError(f"m must lie in [1, {tri_len(n)}] for order {n}, got {m}")
     rng = _rng(seed, "RandomSlater")
     rows = np.array([svec(_sym(rng, n)) for _ in range(m)])
     amap, _, removed = preprocess_surjective(LinearMap(n=n, rows=rows), np.zeros(m))
@@ -142,12 +156,7 @@ def gen_random_slater(
     G = rng.standard_normal((n, n)) / np.sqrt(n)
     Xhat = G @ G.T + np.eye(n)
     b = amap.apply(Xhat)
-    if w_mode == "random":
-        W = _sym(rng, n)
-    elif w_mode == "feasible":
-        W = Xhat
-    else:
-        raise ValueError(f"unknown w_mode {w_mode!r}")
+    W = _anchor(rng, n, w_mode, lambda: Xhat)
     meta = {
         "family": "RandomSlater", "n": n, "m": m, "seed": seed, "w_mode": w_mode,
         "planted": {"xhat": svec(Xhat)},
@@ -273,12 +282,8 @@ def gen_planted_noslater(
             W = Xhat - root_margin * M_list[0] - amap.adjoint(y_root)
             planted["y_root"] = y_root
             planted["root_margin"] = root_margin
-        elif w_mode == "random":
-            W = _sym(rng, n)
-        elif w_mode == "feasible":
-            W = Xhat
         else:
-            raise ValueError(f"unknown w_mode {w_mode!r}")
+            W = _anchor(rng, n, w_mode, lambda: Xhat)
 
         meta = {
             "family": "PlantedNoSlater", "n": n, "m": m, "seed": seed,
@@ -331,14 +336,11 @@ def vontope_null_basis(n: int) -> np.ndarray:
     """
     N = n * n + 1
     K = np.zeros((2 * n, N))
-    for i in range(n):
-        K[i, 0] = -1.0
+    K[:, 0] = -1.0
+    for a in range(n):
         for c in range(n):
-            K[i, _idx(i, c, n)] = 1.0
-    for c in range(n):
-        K[n + c, 0] = -1.0
-        for i in range(n):
-            K[n + c, _idx(i, c, n)] = 1.0
+            K[a, _idx(a, c, n)] = 1.0  # row sum a
+            K[n + a, _idx(c, a, n)] = 1.0  # column sum a
     return scipy.linalg.null_space(K[:-1])
 
 
@@ -362,36 +364,29 @@ def gen_vontope(
 
     Pre-reduction: order n^2+1 variables with corner, gangster, block-diagonal
     sum, block-trace and arrow constraints; every lifted permutation is
-    feasible but no point is strictly feasible.  Post-reduction: variables
-    restricted to the known common range (order (n-1)^2+1) with the reduced
-    gangster constraints, the known-dependent rows dropped; this formulation
-    is strictly feasible.
+    feasible but no point is strictly feasible.  Post-reduction: the corner
+    and gangster rows of the pre-reduction set restricted to the known common
+    range V̂ (order (n-1)^2+1), less the gangster rows of ``drop_blocks``,
+    which are dependent on that face; this formulation is strictly feasible.
     """
     if n < 3:
         raise ValueError("the lifted permutation family needs n >= 3")
     N = n * n + 1
     rng = _rng(seed, "VontopePost" if post_fr else "VontopePre")
+    pairs = [(0, 0)] + vontope_gangster_pairs(n)
 
     if not post_fr:
-        mats = [_esym(0, 0, N)]
-        b_list = [1.0]
-        for p, q in vontope_gangster_pairs(n):
-            mats.append(_esym(p, q, N))
-            b_list.append(0.0)
-        for i in range(n):
-            for j in range(i, n):
-                M = np.zeros((N, N))
-                for c in range(n):
-                    M += _esym(_idx(i, c, n), _idx(j, c, n), N)
-                mats.append(M)
-                b_list.append(1.0 if i == j else 0.0)
-        for c1 in range(n):
-            for c2 in range(c1, n):
-                M = np.zeros((N, N))
-                for i in range(n):
-                    M += _esym(_idx(i, c1, n), _idx(i, c2, n), N)
-                mats.append(M)
-                b_list.append(1.0 if c1 == c2 else 0.0)
+        mats = [_esym(p, q, N) for p, q in pairs]
+        b_list = [1.0] + [0.0] * (len(pairs) - 1)
+        # sum_c Y[(i,c),(j,c)] = (XX')_ij, then sum_i Y[(i,c1),(i,c2)] = (X'X)_c1c2
+        for idx in (lambda a, c: _idx(a, c, n), lambda a, c: _idx(c, a, n)):
+            for a1 in range(n):
+                for a2 in range(a1, n):
+                    M = np.zeros((N, N))
+                    for c in range(n):
+                        M += _esym(idx(a1, c), idx(a2, c), N)
+                    mats.append(M)
+                    b_list.append(1.0 if a1 == a2 else 0.0)
         for p in range(1, N):
             M = _esym(0, p, N)
             M[p, p] -= 1.0
@@ -399,15 +394,11 @@ def gen_vontope(
             b_list.append(0.0)
         raw_map = LinearMap.from_matrices(mats)
         amap, b, removed = preprocess_surjective(raw_map, np.array(b_list))
-        if w_mode == "random":
-            W = _sym(rng, N)
-        elif w_mode == "rank1":
-            Y = vontope_lift_vertex(rng.permutation(n))
-            W = Y + 1e-3 * _sym(rng, N)
-        elif w_mode == "feasible":
-            W = vontope_lift_vertex(rng.permutation(n))
-        else:
-            raise ValueError(f"unknown w_mode {w_mode!r}")
+
+        def vertex() -> np.ndarray:
+            return vontope_lift_vertex(rng.permutation(n))
+
+        W = _anchor(rng, N, w_mode, vertex, vertex)
         meta = {
             "family": "VontopePre", "n": n, "ambient": N, "m": amap.m,
             "m_raw": raw_map.m, "rows_removed_at_gen": len(removed),
@@ -419,35 +410,17 @@ def gen_vontope(
     rdim = (n - 1) ** 2 + 1
     if vhat.shape != (N, rdim):
         raise RuntimeError("null-space basis has unexpected shape")
-    drop_blocks = {(c, n - 1) for c in range(n - 1)}
-    drop_blocks.add((n - 3, n - 2))
-    mats = [vhat.T @ _esym(0, 0, N) @ vhat]
-    b_list = [1.0]
-    for c in range(n):
-        for i, j in itertools.combinations(range(n), 2):
-            mats.append(vhat.T @ _esym(_idx(i, c, n), _idx(j, c, n), N) @ vhat)
-            b_list.append(0.0)
-    for c1, c2 in itertools.combinations(range(n), 2):
-        if (c1, c2) in drop_blocks:
-            continue
-        for i in range(n):
-            mats.append(vhat.T @ _esym(_idx(i, c1, n), _idx(i, c2, n), N) @ vhat)
-            b_list.append(0.0)
-    amap = LinearMap.from_matrices(mats)
+    drop_blocks = {(c, n - 1) for c in range(n - 1)} | {(n - 3, n - 2)}
+    kept = [(p, q) for p, q in pairs if ((p - 1) // n, (q - 1) // n) not in drop_blocks]
+    amap = LinearMap.from_matrices([_esym(p, q, N) for p, q in kept]).restrict(vhat)
     expected_m = n**3 - 2 * n**2 + 1
     if amap.m != expected_m:
         raise RuntimeError(f"reduced row count {amap.m}, expected {expected_m}")
-    b = np.array(b_list)
+    b = np.zeros(amap.m)
+    b[0] = 1.0
     perm = rng.permutation(n)
     R1 = vontope_lift_vertex(perm, vhat)
-    if w_mode == "random":
-        W = _sym(rng, rdim)
-    elif w_mode == "rank1":
-        W = R1 + 1e-3 * _sym(rng, rdim)
-    elif w_mode == "feasible":
-        W = R1
-    else:
-        raise ValueError(f"unknown w_mode {w_mode!r}")
+    W = _anchor(rng, rdim, w_mode, lambda: R1, lambda: R1)
     meta = {
         "family": "VontopePost", "n": n, "ambient": rdim, "m": amap.m,
         "seed": seed, "w_mode": w_mode,

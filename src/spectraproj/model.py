@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 import scipy.linalg
 
-from .symcore import project_face, project_psd, smat, svec, tri_len
+from .symcore import diag_positions, project_face, project_psd, smat, svec, tri_len
 
 
 class InfeasibleManifoldError(Exception):
@@ -70,8 +70,7 @@ class LinearMap:
 
         Read from ``rows`` once; both arrays are read-only.
         """
-        d = np.arange(self.n)
-        on_diag = self.rows[:, d * (2 * self.n - d + 1) // 2]  # svec positions of the diagonal
+        on_diag = self.rows[:, diag_positions(self.n)]
         k = np.argmax(on_diag != 0, axis=1)
         beta = on_diag[np.arange(self.m), k]
         # a nonzero diagonal entry in each row, and no other nonzero anywhere

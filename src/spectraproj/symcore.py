@@ -32,6 +32,12 @@ def tri_order(t: int) -> int:
     return n
 
 
+def diag_positions(n: int) -> np.ndarray:
+    """Positions of the diagonal entries X[0, 0], ..., X[n-1, n-1] inside ``svec(X)``."""
+    d = np.arange(n)
+    return d * (2 * n - d + 1) // 2
+
+
 def svec(M: np.ndarray) -> np.ndarray:
     """Half-vectorize a symmetric matrix, or a stack of them, isometrically.
 

@@ -444,6 +444,41 @@ def test_generated_order_must_be_positive(tmp_path, capsys):
     assert "--n must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("--gen", "RandomSlater", "--w-mode", "rank1"), "unknown w_mode 'rank1'"),
+        (("--gen", "VontopePre", "--n", "2"), "needs n >= 3"),
+        (("--gen", "PlantedNoSlater", "--sd", "0"), "sd_target must be at least 1"),
+        (("--gen", "PlantedNoSlater", "--m", "7", "--support", "8"), "support_size must fit"),
+        (("--gen", "DualUnattained", "--n", "1"), "need n >= 2"),
+        (("--gen", "RandomSlater", "--n", "3", "--m", "7"), "m must lie in [1, 6]"),
+        (("--gen", "Elliptope", "--seed", "-1"), "--seed must be at least 0"),
+    ],
+    ids=["rank1", "vontope-n", "sd", "support", "unattained-n", "slater-m", "seed"],
+)
+def test_generator_argument_error_is_a_usage_error(tmp_path, capsys, argv, reason):
+    err = _usage_error(capsys, "gen", *argv, "--out", str(tmp_path / "o"))
+    assert reason in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("abc", "argument --seed: invalid int value: 'abc'"),
+        ("-1", "spectraproj: error: --seed must be at least 0"),
+    ],
+    ids=["not-int", "negative"],
+)
+def test_bad_env_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, value, reason):
+    monkeypatch.setenv("SPECTRA_SEED", value)
+    with pytest.raises(SystemExit) as exc:
+        _run("gen", "--gen", "Elliptope", "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_singularity_walk_artifacts(tmp_path, capsys):
     out = tmp_path / "demo"
     assert _run("experiment", "singularity_demo", "--out", str(out)) == EXIT_OK

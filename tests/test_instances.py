@@ -198,6 +198,55 @@ def test_vontope_anchor_modes():
     assert pf <= 1e-12 * (1 + np.linalg.norm(feas.b))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_vontope_post_is_pre_restricted_to_its_face(n):
+    # each row set spans the other, and b follows through the same combination
+    pre = gen_vontope(n, post_fr=False)
+    post = gen_vontope(n, post_fr=True)
+    face = pre.map.restrict(vontope_null_basis(n))
+    for (src, src_b), (dst, dst_b) in (
+        ((face.rows, pre.b), (post.map.rows, post.b)),
+        ((post.map.rows, post.b), (face.rows, pre.b)),
+    ):
+        coef, *_ = np.linalg.lstsq(src.T, dst.T, rcond=None)
+        assert np.abs(src.T @ coef - dst.T).max() <= 1e-12
+        assert np.abs(coef.T @ src_b - dst_b).max() <= 1e-12
+
+
+ANCHOR_FAMILIES = {
+    # family: (generator of one w_mode, whether it has a rank-one vertex)
+    "Elliptope": (lambda w: gen_elliptope(6, seed=1, w_mode=w), True),
+    "VontopePre": (lambda w: gen_vontope(3, seed=1, w_mode=w), True),
+    "VontopePost": (lambda w: gen_vontope(3, seed=1, post_fr=True, w_mode=w), True),
+    "RandomSlater": (lambda w: gen_random_slater(6, 8, seed=1, w_mode=w), False),
+    "PlantedNoSlater": (lambda w: gen_planted_noslater(10, 8, seed=1, w_mode=w), False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ANCHOR_FAMILIES))
+def test_anchor_modes_per_family(family):
+    make, has_vertex = ANCHOR_FAMILIES[family]
+    feas = make("feasible")
+    assert np.abs(feas.map.apply(feas.W) - feas.b).max() <= 1e-12
+    rand = make("random")
+    assert np.abs(rand.map.apply(rand.W) - rand.b).max() > 0.1
+    if has_vertex:
+        near = make("rank1")
+        assert 0 < np.abs(near.map.apply(near.W) - near.b).max() < 1e-2
+    else:
+        with pytest.raises(ValueError, match="unknown w_mode 'rank1'"):
+            make("rank1")
+    with pytest.raises(ValueError, match="unknown w_mode 'bogus'"):
+        make("bogus")
+
+
+def test_random_slater_rows_must_fit_the_order():
+    for m in (0, tri_len(3) + 1):
+        with pytest.raises(ValueError, match=r"m must lie in \[1, 6\]"):
+            gen_random_slater(3, m)
+    assert gen_random_slater(3, tri_len(3), seed=0).m == tri_len(3)
+
+
 def test_vontope_pre_has_certificate_post_does_not():
     pre = gen_vontope(3, seed=0, post_fr=False)
     cert = solve_aux_gauss_newton(pre)
