@@ -91,7 +91,7 @@ def generate(spec: GeneratorSpec) -> BapInstance:
         m = spec.m if spec.m is not None else 2 * spec.n
         return gen_random_slater(spec.n, m, seed=spec.seed, w_mode=spec.w_mode)
     if fam == "PlantedNoSlater":
-        m = spec.m if spec.m is not None else max(7, (3 * spec.n) // 2)
+        m = spec.m if spec.m is not None else min(max(7, (3 * spec.n) // 2), tri_len(spec.n))
         return gen_planted_noslater(
             spec.n,
             m,
@@ -198,6 +198,8 @@ def gen_planted_noslater(
     (factor ``root_margin``), giving a clean null direction of the Newton
     matrix at a known zero of F.
     """
+    if m > tri_len(n):
+        raise ValueError(f"m must be at most {tri_len(n)} for order {n}, got {m}")
     d = int(sd_target)
     if d < 1:
         raise ValueError("sd_target must be at least 1")

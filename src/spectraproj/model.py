@@ -28,8 +28,8 @@ class LinearMap:
     """Linear map from symmetric order-n matrices to R^m, stored as svec rows.
 
     The map owns ``rows`` and makes it read-only, so the matrix stack that
-    :meth:`matrices` builds from it once, and :attr:`diagonal_rows`, stay
-    valid for the map's lifetime.
+    :meth:`matrices` builds from it once, :attr:`gram` and
+    :attr:`diagonal_rows` stay valid for the map's lifetime.
     """
 
     n: int
@@ -79,17 +79,38 @@ class LinearMap:
         k.flags.writeable = beta.flags.writeable = False
         return k, beta
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The read-only (m, m) Gram matrix <A_i, A_j> of the rows, formed once."""
+        G = self.rows @ self.rows.T
+        G.flags.writeable = False
+        return G
+
     def restrict(self, Q: np.ndarray) -> LinearMap:
         """The map restricted to the face range of an (n, k) ``Q``: rows svec(Q' A_i Q)."""
         return LinearMap(n=Q.shape[1], rows=svec(Q.T @ self.matrices() @ Q))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """A(X), the vector of inner products <A_i, X>."""
+        """A(X), the vector of inner products <A_i, X>.
+
+        On an all-diagonal map (:attr:`diagonal_rows`) this is beta o X[k, k],
+        O(m) instead of a pass over the dense rows.
+        """
+        if self.diagonal_rows is not None:
+            k, beta = self.diagonal_rows
+            return beta * np.asarray(X, dtype=float)[k, k]
         return self.rows @ svec(X)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """A*(y) = sum_i y_i A_i as a dense symmetric matrix."""
+        """A*(y) = sum_i y_i A_i as a dense symmetric matrix.
+
+        On an all-diagonal map this places beta o y on the diagonal, summing
+        rows that share a k, without a pass over the dense rows.
+        """
         y = np.asarray(y, dtype=float)
+        if self.diagonal_rows is not None:
+            k, beta = self.diagonal_rows
+            return np.diag(np.bincount(k, weights=beta * y, minlength=self.n))
         return smat(self.rows.T @ y)
 
 

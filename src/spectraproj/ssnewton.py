@@ -107,17 +107,52 @@ def _diagonal_newton_matrix(
     return 0.5 * (J + J.T)
 
 
+def _leading_gram_factor(
+    mats: np.ndarray, V: np.ndarray, lam: np.ndarray, s: int
+) -> np.ndarray:
+    """K (m, n*s) whose Gram K K' weights the leading s columns of each V' A_i V.
+
+    ``lam`` is nonincreasing and matches the columns of the orthogonal ``V``;
+    its first ``s`` entries lie above the rest.  Row i of K holds G_i[:s, :s]
+    and then sqrt(2 omega) o G_i[s:, :s], with G_i = V' A_i V and the omega
+    weights of :func:`_weights`, so (K K')_ij sums the leading s-by-s block
+    once and the mixed block twice.  Only the s columns are formed: one GEMM
+    on the (m*n, n) view of the stack, then one batched product with V'.
+    """
+    m, n = mats.shape[:2]
+    C = (mats.reshape(m * n, n) @ V[:, :s]).reshape(m, n, s)
+    G = np.matmul(V.T, C)
+    G[:, s:] *= np.sqrt(2.0 * _weights(lam, s, 0)[s:, :s])
+    return G.reshape(m, n * s)
+
+
 def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
     """Assemble the m-by-m Newton matrix from a cached eigendecomposition.
 
     Zero eigenvalues are folded into the negative bucket (a Clarke
     generalized-Jacobian choice), which leaves the clean two-block weight
     pattern: ones on the positive-positive block, omega weights on the mixed
-    block, zero on the rest.  The result is a nonnegatively weighted Gram
-    matrix, hence symmetric positive semidefinite.  A map whose every row is
-    one diagonal entry (:attr:`LinearMap.diagonal_rows`) takes the closed
-    Hadamard form of :func:`_diagonal_newton_matrix`; every other map weights
-    the dense stack of congruences U' A_i U.
+    block, zero on the rest, so J_ij = sum_ab w_ab G_i[a, b] G_j[a, b] with
+    G_i = U' A_i U.  A map whose every row is one diagonal entry
+    (:attr:`LinearMap.diagonal_rows`) takes the closed Hadamard form of
+    :func:`_diagonal_newton_matrix`.  Every other map takes a Gram factor on
+    the smaller side of the split, so the work scales with s = min(p, q),
+    q = n - p: O(m n^2 s + m^2 n s) against O(m n^3 + m^2 n^2) for weighting
+    all of every G_i.
+
+    * p <= q: J = K K' from the leading p columns of each G_i
+      (:func:`_leading_gram_factor`).
+    * p > q: the complement identity.  With weights 1 - w the trailing q
+      columns carry what J leaves out of sum_ab G_i[a, b] G_j[a, b] =
+      <A_i, A_j>, so J = R R' - Kc Kc' with R R' the cached
+      :attr:`LinearMap.gram` and Kc the same factor on the reversed spectrum,
+      whose mixed weights are -lam_c / (lam_a - lam_c) = 1 - omega.  A
+      zero-bucket eigenvalue above zero would make such a weight negative, so
+      that spectrum keeps the leading form.
+
+    Both forms err by about eps ||A_i|| ||A_j|| per entry.  K K' is psd by
+    construction; the complement form is not, so its smallest eigenvalue can
+    fall that far below zero (the tests bound it).
     """
     m = amap.m
     p = dec.p
@@ -125,14 +160,16 @@ def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
     if p == 0:
         return np.zeros((m, m))
     if p == n:
-        return amap.rows @ amap.rows.T
+        return amap.gram.copy()
     if amap.diagonal_rows is not None:
         k, beta = amap.diagonal_rows
         return _diagonal_newton_matrix(dec.U[k], beta, dec.lam, p)
-    G = np.matmul(dec.U.T, np.matmul(amap.matrices(), dec.U))
-    w = _weights(dec.lam, p, 0)
-    Gf = G.reshape(m, n * n)
-    J = (Gf * w.ravel()) @ Gf.T
+    if p <= n - p or dec.lam[p] > 0:
+        K = _leading_gram_factor(amap.matrices(), dec.U, dec.lam, p)
+        J = K @ K.T
+    else:
+        K = _leading_gram_factor(amap.matrices(), dec.U[:, ::-1], -dec.lam[::-1], n - p)
+        J = amap.gram - K @ K.T
     return 0.5 * (J + J.T)
 
 

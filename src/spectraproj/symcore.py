@@ -9,6 +9,7 @@ so a whole family of constraint matrices converts in one call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,19 +66,30 @@ def svec(M: np.ndarray) -> np.ndarray:
     return v
 
 
+@functools.lru_cache(maxsize=32)
+def _smat_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) table of svec positions, and the per-position divisor.
+
+    ``pos[a, b]`` is where X[a, b] (or X[b, a]) sits in ``svec(X)``;
+    ``scale`` is 1 at diagonal positions and sqrt(2) elsewhere.
+    """
+    iu, ju = np.triu_indices(n)
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    scale = np.where(iu == ju, 1.0, SQRT2)
+    pos.flags.writeable = scale.flags.writeable = False
+    return pos, scale
+
+
 def smat(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`svec`: ``(..., t)`` half-vectors to ``(..., n, n)`` matrices."""
     v = np.asarray(v, dtype=float)
     if v.ndim < 1:
         raise ValueError("expected a vector or a stack of vectors")
-    n = tri_order(v.shape[-1])
-    iu, ju = np.triu_indices(n)
-    w = v.copy()
-    w[..., iu != ju] /= SQRT2
-    M = np.zeros(v.shape[:-1] + (n, n))
-    M[..., iu, ju] = w
-    M[..., ju, iu] = w
-    return M
+    pos, scale = _smat_gather(tri_order(v.shape[-1]))
+    # divide, since a product with 1/sqrt(2) rounds differently; take, since
+    # fancy indexing a stack returns a transposed (non C-order) layout
+    return np.take(v / scale, pos, axis=-1)
 
 
 @dataclass

@@ -453,9 +453,10 @@ def test_generated_order_must_be_positive(tmp_path, capsys):
         (("--gen", "PlantedNoSlater", "--m", "7", "--support", "8"), "support_size must fit"),
         (("--gen", "DualUnattained", "--n", "1"), "need n >= 2"),
         (("--gen", "RandomSlater", "--n", "3", "--m", "7"), "m must lie in [1, 6]"),
+        (("--gen", "PlantedNoSlater", "--n", "3", "--m", "7"), "m must be at most 6"),
         (("--gen", "Elliptope", "--seed", "-1"), "--seed must be at least 0"),
     ],
-    ids=["rank1", "vontope-n", "sd", "support", "unattained-n", "slater-m", "seed"],
+    ids=["rank1", "vontope-n", "sd", "support", "unattained-n", "slater-m", "planted-m", "seed"],
 )
 def test_generator_argument_error_is_a_usage_error(tmp_path, capsys, argv, reason):
     err = _usage_error(capsys, "gen", *argv, "--out", str(tmp_path / "o"))

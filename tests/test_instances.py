@@ -247,6 +247,15 @@ def test_random_slater_rows_must_fit_the_order():
     assert gen_random_slater(3, tri_len(3), seed=0).m == tri_len(3)
 
 
+def test_planted_noslater_rows_must_fit_the_order():
+    with pytest.raises(ValueError, match="m must be at most 6"):
+        gen_planted_noslater(3, tri_len(3) + 1, support_size=5)
+    # the default m is capped at n(n+1)/2, so the generated map is surjective
+    inst = generate(GeneratorSpec(family="PlantedNoSlater", n=3, seed=0))
+    assert inst.m == tri_len(3)
+    assert np.linalg.matrix_rank(inst.map.rows) == inst.m
+
+
 def test_vontope_pre_has_certificate_post_does_not():
     pre = gen_vontope(3, seed=0, post_fr=False)
     cert = solve_aux_gauss_newton(pre)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectraproj.instances import fixture_sd2_chain, gen_random_slater
+from spectraproj.instances import fixture_sd2_chain, gen_elliptope, gen_random_slater
 from spectraproj.model import (
     BapInstance,
     InfeasibleManifoldError,
@@ -221,6 +221,26 @@ def test_diagonal_rows_are_cached_and_read_only():
         assert LinearMap.from_matrices(other).diagonal_rows is None
     assert _rand_map(4, 3, np.random.default_rng(13)).diagonal_rows is None
     assert LinearMap(n=3, rows=np.zeros((0, tri_len(3)))).diagonal_rows is None
+
+
+def test_diagonal_map_apply_and_adjoint_are_bitwise_the_dense_rows():
+    inst = gen_elliptope(100, seed=1000)
+    amap = inst.map
+    assert amap.diagonal_rows is not None
+    for it in newton_solve(inst).iterates:
+        Y = inst.W + amap.adjoint(it.y)
+        assert np.array_equal(amap.adjoint(it.y), smat(amap.rows.T @ it.y))
+        assert np.array_equal(amap.apply(Y), amap.rows @ svec(Y))
+    # rows that share a k sum on the diagonal
+    mats = np.zeros((3, 4, 4))
+    for A, k, beta in zip(mats, [2, 0, 2], [1.7, -0.5, 1.7]):
+        A[k, k] = beta
+    amap = LinearMap.from_matrices(mats)
+    y = np.array([0.3, -1.1, 2.0])
+    assert np.allclose(amap.adjoint(y), smat(amap.rows.T @ y), rtol=0.0, atol=1e-15)
+    assert amap.adjoint(y)[2, 2] == pytest.approx(1.7 * 2.3)
+    X = np.arange(16.0).reshape(4, 4)
+    assert np.array_equal(amap.apply(X + X.T), [1.7 * 20.0, -0.5 * 0.0, 1.7 * 20.0])
 
 
 def test_restrict_is_the_congruence_of_every_constraint():

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,13 +154,20 @@ def _is_diagonal(amap):
     return amap.diagonal_rows is not None
 
 
-def _assert_matches_dense(amap, dec):
-    # the Hadamard form sums in another order than the dense product, so it
-    # is held to a few ulps of max|J| instead of bit identity
+def _assert_close_to_dense(amap, dec):
+    # the Hadamard form and the min(p, q)-sided Gram factor both sum in another
+    # order than the dense product, so they are held to a few ulps of max|J|
+    # instead of bit identity
     J = _jacobian_from_dec(amap, dec)
     ref = _dense_newton_matrix(amap, dec)
     assert np.abs(J - ref).max() <= 1e-14 * np.abs(J).max()
     assert np.array_equal(J, J.T)
+    return J
+
+
+def _assert_matches_dense(amap, dec):
+    J = _assert_close_to_dense(amap, dec)
+    # the complement form R R' - Kc Kc' is not psd by construction
     eig_J, _ = jacobian_spectrum(J)
     assert eig_J[-1] >= -1e-12 * max(eig_J[0], 1.0)
     # J d against the map applied to the directional derivative, which never
@@ -175,17 +183,14 @@ def _assert_matches_dense(amap, dec):
 def test_newton_matrix_from_supports_is_bitwise_the_dense_one(family):
     inst = generate(GeneratorSpec(family=family, n=4, seed=0))
     dec = _mixed_point(inst.map, np.random.default_rng(11))
-    if _is_diagonal(inst.map):
-        _assert_matches_dense(inst.map, dec)
-    else:
-        assert np.array_equal(_jacobian_from_dec(inst.map, dec), _dense_newton_matrix(inst.map, dec))
+    _assert_matches_dense(inst.map, dec)
 
 
 def test_only_the_all_diagonal_families_leave_the_dense_product():
-    bitwise = [
+    gram = [
         f for f in FAMILIES if not _is_diagonal(generate(GeneratorSpec(family=f, n=4, seed=0)).map)
     ]
-    assert bitwise == [f for f in FAMILIES if f not in ("Elliptope", "DualGapFace")]
+    assert gram == [f for f in FAMILIES if f not in ("Elliptope", "DualGapFace")]
 
 
 def _point_with_spectrum(lam, rng):
@@ -226,8 +231,7 @@ def test_map_with_an_empty_row_keeps_the_dense_product():
     scaled[0, 0] = 1.7
     amap = LinearMap.from_matrices([diag, np.zeros((n, n)), scaled])
     assert amap.diagonal_rows is None
-    dec = _point_with_spectrum([2.0, 1.0, -0.5, -1.5, -3.0], rng)
-    assert np.array_equal(_jacobian_from_dec(amap, dec), _dense_newton_matrix(amap, dec))
+    _assert_matches_dense(amap, _point_with_spectrum([2.0, 1.0, -0.5, -1.5, -3.0], rng))
 
 
 def test_newton_matrix_from_mixed_supports_is_bitwise_the_dense_one():
@@ -244,8 +248,55 @@ def test_newton_matrix_from_mixed_supports_is_bitwise_the_dense_one():
     # all zero, a 3-by-3 block, full
     mats = [diag, full, off, np.zeros((n, n)), block, _sym(rng, n)]
     amap = LinearMap.from_matrices(mats)
-    dec = _mixed_point(amap, rng)
-    assert np.array_equal(_jacobian_from_dec(amap, dec), _dense_newton_matrix(amap, dec))
+    _assert_matches_dense(amap, _mixed_point(amap, rng))
+
+
+@pytest.mark.parametrize("m", [9, 21])
+@pytest.mark.parametrize("p", range(1, 6))
+def test_gram_factor_matches_the_dense_one_on_either_side(p, m):
+    # n = 6, so p < q, p = q and p > q all occur, and m = 21 is every svec row
+    rng = np.random.default_rng(100 * m + p)
+    amap = gen_random_slater(6, m, seed=p).map
+    lam = np.concatenate([np.linspace(3.0, 0.4, p), np.linspace(-0.3, -2.5, 6 - p)])
+    _assert_matches_dense(amap, _point_with_spectrum(lam, rng))
+
+
+@pytest.mark.parametrize("zero", [0.0, 1e-12, -1e-12])
+@pytest.mark.parametrize("p", [2, 4])
+def test_gram_factor_with_a_zero_bucket_matches_the_dense_one(p, zero):
+    # two eigenvalues inside the zero threshold, on the leading (p = 2) and the
+    # complement (p = 4) side; one above zero would give the complement a
+    # negative weight, so such a spectrum takes the leading form
+    rng = np.random.default_rng(p)
+    amap = gen_random_slater(7, 12, seed=p).map
+    lam = np.concatenate([np.linspace(3.0, 0.5, p), [zero, zero / 2], np.linspace(-0.4, -2.0, 5 - p)])
+    dec = _point_with_spectrum(lam, rng)
+    assert (dec.p, dec.z) == (p, 2)
+    _assert_close_to_dense(amap, dec)
+
+
+@pytest.mark.parametrize("p", [15, 45])
+def test_gram_factor_assembly_stays_below_one_stack(p):
+    # the factor is m*n*min(p, q) doubles, well below one more m-by-n^2 stack
+    amap = gen_random_slater(60, 120, seed=0).map
+    lam = np.concatenate([np.linspace(3.0, 0.5, p), np.linspace(-0.5, -2.0, 60 - p)])
+    dec = _point_with_spectrum(lam, np.random.default_rng(0))
+    # the cached stack and Gram matrix are built outside the traced window
+    amap.matrices(), amap.gram
+    tracemalloc.start()
+    try:
+        _jacobian_from_dec(amap, dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * amap.m * amap.n**2 * 8
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_slater_solves_keep_their_iteration_count(seed):
+    trace = newton_solve(gen_random_slater(100, 200, seed=seed))
+    assert trace.status == NewtonStatus.SOLVED
+    assert trace.k_final == 4
 
 
 def test_elliptope_solve_never_builds_the_dense_stack(monkeypatch):
@@ -259,7 +310,7 @@ def test_elliptope_solve_never_builds_the_dense_stack(monkeypatch):
     monkeypatch.setattr(model, "smat", recording_smat)
     trace = newton_solve(inst)
     assert trace.status == NewtonStatus.SOLVED
-    assert shapes and all(len(shape) == 1 for shape in shapes)
+    assert all(len(shape) == 1 for shape in shapes)
     assert inst.map._mats is None
 
 

@@ -74,6 +74,27 @@ def test_svec_smat_stacks_match_single_matrices():
             assert np.array_equal(back[idx], smat(vecs[idx]))
 
 
+def test_smat_gather_is_bitwise_the_scatter_inverse():
+    # reference: divide the off-diagonal entries by sqrt(2), then write each
+    # entry to both triangles
+    def scatter(v):
+        n = tri_order(v.shape[-1])
+        iu, ju = np.triu_indices(n)
+        w = v.copy()
+        w[..., iu != ju] /= np.sqrt(2.0)
+        M = np.zeros(v.shape[:-1] + (n, n))
+        M[..., iu, ju] = w
+        M[..., ju, iu] = w
+        return M
+
+    rng = np.random.default_rng(6)
+    for shape in ((tri_len(9),), (7, 3, tri_len(9)), (40, tri_len(30))):
+        v = rng.standard_normal(shape)
+        M = smat(v)
+        assert M.tobytes() == scatter(v).tobytes()
+        assert M.flags.c_contiguous
+
+
 def test_svec_smat_empty_stacks():
     assert smat(np.zeros((0, tri_len(3)))).shape == (0, 3, 3)
     assert svec(np.zeros((0, 3, 3))).shape == (0, tri_len(3))
