@@ -141,6 +141,33 @@ def _aux_jacobian(inst: BapInstance, dec: SpectralDecomp) -> np.ndarray:
     return np.vstack([svec(mats - _dir_deriv_from_dec(dec, mats)).T, inst.b])
 
 
+def _polish_step(
+    inst: BapInstance, mu: np.ndarray, mdec: SpectralDecomp, keep: np.ndarray
+) -> tuple[np.ndarray, SpectralDecomp, float] | None:
+    """One polish pass: the null vector of the cut system closest to ``mu``.
+
+    ``mdec`` decomposes A*(mu) and ``keep`` marks the columns of its U that
+    span the cut.  Returns the unit candidate, its decomposition and its
+    residual norm, or None when the system has no usable null vector.
+    """
+    N = mdec.U[:, keep]
+    K = np.vstack([inst.map.restrict(N).rows.T, inst.b])
+    _, sig, Vt = np.linalg.svd(K, full_matrices=True)
+    null_mask = np.zeros(inst.m, dtype=bool)
+    null_mask[len(sig):] = True
+    null_mask[: len(sig)] |= sig <= 1e-8 * (sig[0] if len(sig) else 1.0)
+    if not null_mask.any():
+        return None
+    B = Vt[null_mask].T
+    cand = B @ (B.T @ mu)
+    nm = float(np.linalg.norm(cand))
+    if nm < 1e-8:
+        return None
+    mu = cand / nm
+    r_new, mdec = _aux_residual(inst, mu)
+    return mu, mdec, float(np.linalg.norm(r_new))
+
+
 def _polish_certificate(
     inst: BapInstance, lam: np.ndarray, rn: float, dec: SpectralDecomp
 ) -> tuple[np.ndarray, float, SpectralDecomp]:
@@ -153,8 +180,15 @@ def _polish_certificate(
     system (complement block of A* vanishes, b-orthogonality) and keeps the
     null vector closest to ``lam`` whenever that strictly improves the
     residual.  ``dec`` decomposes A*(lam); the winner comes back with its own.
+
+    The cuts often replay one another: a pass of a finer cut can start from
+    the multiplier and cut that a coarser one already solved.  Each pass
+    (:func:`_polish_step`) depends only on its multiplier and its cut, so the
+    passes are memoized on those bytes for the length of one polish, and a
+    replayed pass returns the very result it returned before.
     """
     best = (lam, rn, dec)
+    steps: dict[tuple[bytes, bytes], tuple[np.ndarray, SpectralDecomp, float] | None] = {}
     for theta in (1e-4, 1e-6, 1e-8):
         mu, mdec = lam, dec
         # the cut basis inherits the pollution it is meant to remove, so one
@@ -164,22 +198,13 @@ def _polish_certificate(
             keep = mdec.lam < theta * float(np.abs(mdec.lam).max())
             if not keep.any() or keep.all():
                 break
-            N = mdec.U[:, keep]
-            K = np.vstack([inst.map.restrict(N).rows.T, inst.b])
-            _, sig, Vt = np.linalg.svd(K, full_matrices=True)
-            null_mask = np.zeros(inst.m, dtype=bool)
-            null_mask[len(sig):] = True
-            null_mask[: len(sig)] |= sig <= 1e-8 * (sig[0] if len(sig) else 1.0)
-            if not null_mask.any():
+            key = (mu.tobytes(), keep.tobytes())
+            if key not in steps:
+                steps[key] = _polish_step(inst, mu, mdec, keep)
+            step = steps[key]
+            if step is None:
                 break
-            B = Vt[null_mask].T
-            cand = B @ (B.T @ mu)
-            nm = float(np.linalg.norm(cand))
-            if nm < 1e-8:
-                break
-            mu = cand / nm
-            r_new, mdec = _aux_residual(inst, mu)
-            rn_new = float(np.linalg.norm(r_new))
+            mu, mdec, rn_new = step
             if rn_new < best[1]:
                 best = (mu, rn_new, mdec)
             if rn_new == 0.0:

@@ -254,6 +254,12 @@ def _digits_gained(relres: float) -> int:
     return int(math.ceil(-math.log10(relres)))
 
 
+def _check_finite(a: np.ndarray) -> None:
+    # the test and message of scipy's check_finite, made once per matrix
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def newton_solve(
     inst: BapInstance,
     y0: np.ndarray | None = None,
@@ -276,6 +282,15 @@ def newton_solve(
     * k reached max_iter                       -> ITER_LIMIT
 
     A negative ``max_iter`` raises ValueError: the trace needs one iterate.
+    A residual or Newton matrix with an infinite or NaN entry raises
+    ValueError before the step, as a checked Cholesky factorization would.
+
+    The eigenvectors are left with the signs ``eigh`` gave them
+    (``eig_sym(..., normalize_sign=False)``).  The iteration reads U only
+    through products in which each column meets itself: P(Y) = U diag U' and
+    J = sum w_ab G_i[a, b] G_j[a, b] with G_i = U' A_i U.  Negating a column
+    negates both factors of each such product exactly, so X, F, J, its
+    spectrum and every y are the same to the last bit either way.
     """
     opts = opts or NewtonOptions()
     if opts.max_iter < 0:
@@ -286,15 +301,12 @@ def newton_solve(
     t0 = time.perf_counter()
     iterates: list[NewtonIterate] = []
     status = NewtonStatus.ITER_LIMIT
-    X = np.zeros((inst.n, inst.n))
-    Z = np.zeros_like(X)
-    J = np.zeros((m, m))
+    eye = np.eye(m)
 
     for k in range(opts.max_iter + 1):
         Y = inst.W + inst.map.adjoint(y)
-        dec = eig_sym(Y)
+        dec = eig_sym(Y, normalize_sign=False)
         X = dec.psd_part()
-        Z = X - Y
         F = inst.map.apply(X) - inst.b
         normF = float(np.linalg.norm(F))
         relres = min(1.0, normF / b_scale)
@@ -322,21 +334,25 @@ def newton_solve(
             break
 
         reg = max(0.2 * normF, 1e-14)
+        _check_finite(F)
         d = None
         for _ in range(40):
+            A = J + reg * eye
+            _check_finite(A)
             try:
-                cf = scipy.linalg.cho_factor(J + reg * np.eye(m), lower=True)
-                d = scipy.linalg.cho_solve(cf, -F)
+                cf = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+                d = scipy.linalg.cho_solve(cf, -F, check_finite=False)
                 break
             except scipy.linalg.LinAlgError:
                 reg *= 10.0
         if d is None:
-            d, *_ = np.linalg.lstsq(J + reg * np.eye(m), -F, rcond=None)
+            d, *_ = np.linalg.lstsq(J + reg * eye, -F, rcond=None)
         nd = float(np.linalg.norm(d))
         if nd > 1e8:
             d *= 1e8 / nd
         y = y + d
 
+    Z = X - Y
     return NewtonTrace(
         iterates=iterates,
         status=status,
@@ -350,9 +366,9 @@ def trace_to_csv(trace: NewtonTrace) -> str:
     """Render a trace as CSV: iter, relres, cond, then the Newton-matrix spectrum."""
     m = trace.iterates[0].eig_J.size if trace.iterates else 0
     header = ",".join(["iter", "relres", "cond"] + [f"eigJ_{i+1}" for i in range(m)])
+    # one %-format per row; "%.17g" writes the bytes format(v, ".17g") does
+    row = "%d" + ",%.17g" * (m + 2)
     lines = [header]
     for it in trace.iterates:
-        vals = [str(it.k), format(it.relres, ".17g"), format(it.cond, ".17g")]
-        vals += [format(v, ".17g") for v in it.eig_J]
-        lines.append(",".join(vals))
+        lines.append(row % (it.k, it.relres, it.cond, *it.eig_J.tolist()))
     return "\n".join(lines) + "\n"

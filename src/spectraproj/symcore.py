@@ -10,6 +10,7 @@ so a whole family of constraint matrices converts in one call.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ def tri_len(n: int) -> int:
 
 def tri_order(t: int) -> int:
     """Inverse of :func:`tri_len`; raises if ``t`` is not a triangular number."""
-    n = int((np.sqrt(8 * t + 1) - 1) / 2 + 0.5)
+    n = (math.isqrt(8 * t + 1) - 1) // 2
     if tri_len(n) != t:
         raise ValueError(f"{t} is not n*(n+1)/2 for any integer n")
     return n
@@ -58,12 +59,26 @@ def svec(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    iu, ju = np.triu_indices(M.shape[-1])
-    # copy to C order: fancy indexing a stack returns a transposed layout, and
-    # BLAS would sum products against such rows in a different order
-    v = M[..., iu, ju].copy()
-    v[..., iu != ju] *= SQRT2
-    return v
+    n = M.shape[-1]
+    flat, scale = _svec_gather(n)
+    # take returns C order (fancy indexing a stack returns a transposed layout,
+    # and BLAS would sum products against such rows in a different order);
+    # the product with 1.0 on the diagonal is exact
+    return np.take(M.reshape(*M.shape[:-2], n * n), flat, axis=-1) * scale
+
+
+@functools.lru_cache(maxsize=32)
+def _svec_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat positions of the upper triangle and the per-position factor.
+
+    ``flat`` lists a*n + b over ``np.triu_indices(n)``; ``scale`` is 1 at
+    diagonal positions and sqrt(2) elsewhere.
+    """
+    iu, ju = np.triu_indices(n)
+    flat = iu * n + ju
+    scale = np.where(iu == ju, 1.0, SQRT2)
+    flat.flags.writeable = scale.flags.writeable = False
+    return flat, scale
 
 
 @functools.lru_cache(maxsize=32)
@@ -124,16 +139,28 @@ class SpectralDecomp:
 def _normalize_sign(U: np.ndarray) -> np.ndarray:
     # flip each column so its first component of nontrivial size is positive;
     # keeps eigenvectors reproducible across runs on the same data
+    if U.size == 0:
+        return U.copy()
     A = np.abs(U)
-    big = A > 1e-12 * np.maximum(1.0, A.max(axis=0, initial=0.0))
-    lead = big & (np.cumsum(big, axis=0) == 1)
+    big = A > 1e-12 * np.maximum(1.0, A.max(axis=0))
+    # argmax finds the first True; a column with none reads row 0, which is
+    # then not big and flips nothing
+    lead = np.argmax(big, axis=0)
+    cols = np.arange(U.shape[1])
     out = U.copy()
-    out[:, (lead & (U < 0)).any(axis=0)] *= -1.0
+    out[:, big[lead, cols] & (U[lead, cols] < 0)] *= -1.0
     return out
 
 
-def eig_sym(S: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralDecomp:
+def eig_sym(
+    S: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL, *, normalize_sign: bool = True
+) -> SpectralDecomp:
     """Ordered symmetric eigendecomposition with its positive/zero/negative split.
+
+    ``np.linalg.eigh`` returns its eigenvalues ascending, so reversing them
+    and the columns of V gives the nonincreasing order.  Even on ties this is
+    the order ``argsort(w, kind="stable")[::-1]`` gives, since a stable sort
+    of a sorted array is the identity.
 
     Parameters
     ----------
@@ -141,6 +168,11 @@ def eig_sym(S: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralDecomp
         Symmetric input; it is symmetrized as (S + S.T)/2 before factoring.
     zero_tol : float
         Relative threshold for the zero bucket.
+    normalize_sign : bool
+        Flip each column of U so its first entry of nontrivial size is
+        positive (the default).  A caller that reads U only through products
+        invariant under a column's sign, such as U diag(d) U', may pass
+        False and keep the columns as ``eigh`` returned them.
 
     Returns
     -------
@@ -149,9 +181,9 @@ def eig_sym(S: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralDecomp
     S = np.asarray(S, dtype=float)
     S = 0.5 * (S + S.T)
     w, V = np.linalg.eigh(S)
-    order = np.argsort(w, kind="stable")[::-1]
-    lam = w[order]
-    U = _normalize_sign(V[:, order])
+    lam = w[::-1].copy()
+    U = V[:, ::-1]
+    U = _normalize_sign(U) if normalize_sign else np.ascontiguousarray(U)
     scale = max(1.0, abs(lam[0]), abs(lam[-1])) if lam.size else 1.0
     thr = zero_tol * scale
     p = int(np.count_nonzero(lam > thr))

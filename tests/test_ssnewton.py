@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectraproj import model, ssnewton
+from spectraproj import model, ssnewton, symcore
 from spectraproj.instances import (
     FAMILIES,
     GeneratorSpec,
@@ -16,8 +16,10 @@ from spectraproj.instances import (
 )
 from spectraproj.model import LinearMap, residual_F
 from spectraproj.ssnewton import (
+    NewtonIterate,
     NewtonOptions,
     NewtonStatus,
+    NewtonTrace,
     _dir_deriv_from_dec,
     _jacobian_from_dec,
     _weights,
@@ -447,3 +449,70 @@ def test_trace_csv_is_identical_across_runs():
     a = trace_to_csv(newton_solve(inst))
     b = trace_to_csv(newton_solve(inst))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_random_slater(8, 12, seed=4),
+        gen_elliptope(10, seed=2),
+        gen_planted_noslater(15, 7, sd_target=1, iips_target=1, support_size=5, seed=0),
+    ],
+    ids=["RandomSlater8", "Elliptope10", "PlantedNoSlater15"],
+)
+def test_newton_iterates_do_not_depend_on_eigenvector_signs(inst, monkeypatch):
+    opts = NewtonOptions(max_iter=50)
+    lean = newton_solve(inst, opts=opts)
+    calls, flipped = [], []
+
+    def signed_eig_sym(S, zero_tol=symcore.DEFAULT_ZERO_TOL, normalize_sign=True):
+        calls.append(normalize_sign)
+        dec = symcore.eig_sym(S, zero_tol, normalize_sign=True)
+        raw = symcore.eig_sym(S, zero_tol, normalize_sign=False)
+        flipped.append(not np.array_equal(dec.U, raw.U))
+        return dec
+
+    monkeypatch.setattr(ssnewton, "eig_sym", signed_eig_sym)
+    signed = newton_solve(inst, opts=opts)
+    # the solver asks for raw signs, and the normalized ones do differ
+    assert calls and not any(calls) and any(flipped)
+    assert signed.status == lean.status
+    assert len(signed.iterates) == len(lean.iterates)
+    for a, b in zip(signed.iterates, lean.iterates):
+        assert a.y.tobytes() == b.y.tobytes()
+        assert (a.relres, a.cond, a.lam_min_X) == (b.relres, b.cond, b.lam_min_X)
+        assert a.eig_J.tobytes() == b.eig_J.tobytes()
+    for name in ("X", "y", "Z"):
+        assert getattr(signed.triple, name).tobytes() == getattr(lean.triple, name).tobytes()
+    assert signed.J.tobytes() == lean.J.tobytes()
+
+
+def test_nan_anchor_fails_in_the_eigendecomposition():
+    inst = gen_random_slater(5, 4, seed=0)
+    inst.W[1, 2] = inst.W[2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        newton_solve(inst)
+
+
+def test_infinite_right_hand_side_fails_before_the_step():
+    inst = gen_random_slater(5, 4, seed=0)
+    inst.b[2] = np.inf
+    # relres divides inf by inf on the way
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        newton_solve(inst)
+
+
+def test_trace_csv_writes_each_value_as_format_17g():
+    specials = np.array([-0.0, 5e-324, 1e308, np.inf, np.nan, 9751922431660104.0])
+    iterates = [
+        NewtonIterate(k=k, y=np.zeros(0), relres=r, cond=c, eig_J=np.roll(specials, k),
+                      lam_min_X=0.0, wallclock=0.0)
+        for k, (r, c) in enumerate(zip(specials, specials[::-1]))
+    ]
+    trace = NewtonTrace(iterates, NewtonStatus.ITER_LIMIT, None, NewtonOptions(), np.zeros((6, 6)))
+    lines = ["iter,relres,cond," + ",".join(f"eigJ_{i}" for i in range(1, 7))]
+    for it in iterates:
+        vals = [str(it.k), format(it.relres, ".17g"), format(it.cond, ".17g")]
+        vals += [format(v, ".17g") for v in it.eig_J]
+        lines.append(",".join(vals))
+    assert trace_to_csv(trace) == "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spectraproj import symcore
 from spectraproj.symcore import (
     check_face_range,
     eig_sym,
@@ -95,6 +96,36 @@ def test_smat_gather_is_bitwise_the_scatter_inverse():
         assert M.flags.c_contiguous
 
 
+def _svec_reference(M):
+    iu, ju = np.triu_indices(M.shape[-1])
+    v = M[..., iu, ju].copy()
+    v[..., iu != ju] *= np.sqrt(2.0)
+    return v
+
+
+def test_svec_gather_is_bitwise_the_triu_reference():
+    rng = np.random.default_rng(8)
+    for n in range(8):
+        for shape in ((), (3,), (2, 4)):
+            M = rng.standard_normal(shape + (n, n))
+            v = svec(M)
+            assert v.shape == shape + (tri_len(n),) and v.flags.c_contiguous
+            assert v.tobytes() == _svec_reference(M).tobytes()
+    # a transposed (non C-order) input reads the same entries
+    M = rng.standard_normal((5, 6, 6))
+    T = np.swapaxes(M, -1, -2)
+    assert svec(T).tobytes() == _svec_reference(T).tobytes()
+
+
+def test_svec_index_cache_is_read_only():
+    for n in (0, 1, 5):
+        svec(np.zeros((n, n)))
+        for arr in symcore._svec_gather(n):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+
 def test_svec_smat_empty_stacks():
     assert smat(np.zeros((0, tri_len(3)))).shape == (0, 3, 3)
     assert svec(np.zeros((0, 3, 3))).shape == (0, tri_len(3))
@@ -129,6 +160,16 @@ def test_eig_sym_zero_bucket():
     assert (dec.p, dec.z, dec.n - dec.p - dec.z) == (1, 1, 1)
 
 
+def _cumsum_normalize_sign(U):
+    # reference sign rule: flip a column whose first sizeable entry is negative
+    A = np.abs(U)
+    big = A > 1e-12 * np.maximum(1.0, A.max(axis=0, initial=0.0))
+    lead = big & (np.cumsum(big, axis=0) == 1)
+    out = U.copy()
+    out[:, (lead & (U < 0)).any(axis=0)] *= -1.0
+    return out
+
+
 def _tiny_lead_matrix():
     # rotate e_0 into the other coordinates by 1e-13: every other eigenvector
     # starts with an entry below 1e-12, so its sign comes from a later row
@@ -151,8 +192,10 @@ def _tiny_lead_matrix():
         np.diag([0.0, 5.0, 0.0, -1e-12, 1.0]),
         _tiny_lead_matrix(),
         _sym(7, np.random.default_rng(7)),
+        np.eye(4),
+        np.diag([2.0, 2.0, 1.0, 1.0, -3.0]),
     ],
-    ids=["order0", "zero_bucket", "diagonal", "tiny_leading_entries", "random"],
+    ids=["order0", "zero_bucket", "diagonal", "tiny_leading_entries", "random", "eye4", "ties"],
 )
 def test_eig_sym_buckets_and_signs_match_a_direct_reference(S):
     dec = eig_sym(S)
@@ -160,6 +203,13 @@ def test_eig_sym_buckets_and_signs_match_a_direct_reference(S):
     assert dec.U.shape == (n, n) and dec.U.flags.c_contiguous
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     assert np.array_equal(dec.lam, w[::-1])
+    # bitwise the stable-argsort order, ties included, with and without signs
+    order = np.argsort(w, kind="stable")[::-1]
+    assert dec.lam.tobytes() == w[order].tobytes()
+    assert dec.U.tobytes() == _cumsum_normalize_sign(V[:, order]).tobytes()
+    raw = eig_sym(S, normalize_sign=False)
+    assert raw.U.flags.c_contiguous and (raw.p, raw.z) == (dec.p, dec.z)
+    assert raw.U.tobytes() == np.ascontiguousarray(V[:, order]).tobytes()
     thr = 1e-10 * max([1.0] + [abs(x) for x in dec.lam])
     assert dec.p == sum(1 for x in dec.lam if x > thr)
     assert dec.z == sum(1 for x in dec.lam if abs(x) <= thr)
