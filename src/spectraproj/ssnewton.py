@@ -38,16 +38,21 @@ __all__ = [
 def _weights(lam: np.ndarray, p: int, z: int) -> np.ndarray:
     """First-divided-difference weights of max(., 0) on a sorted split spectrum.
 
-    ``lam`` is nonincreasing with ``p`` positive entries followed by ``z`` in
-    the zero bucket.  The symmetric n-by-n result is 1 between the positive
-    bucket and the positive or zero buckets, lam_a / (lam_a - lam_g) in (0, 1)
-    between positive a and negative g, and 0 on every other pair.
+    ``lam`` is nonincreasing; its first ``p`` entries are the positive bucket
+    and the next ``z`` the zero bucket.  The symmetric n-by-n result is 1
+    between the positive bucket and the positive or zero buckets, the divided
+    difference (max(lam_a, 0) - max(lam_g, 0)) / (lam_a - lam_g) between each
+    of the first p entries a and each later g, and 0 on every other pair, so
+    every weight lies in [0, 1].  That is lam_a / (lam_a - lam_g) where a is
+    positive and g is not; with ``z = 0`` a zero-bucket g above zero gets
+    exactly 1, and a first-p entry a that is not positive gets 0.
     """
     n = lam.size
     w = np.zeros((n, n))
     w[:p, : p + z] = 1.0
     w[p : p + z, :p] = 1.0
-    om = lam[:p, None] / (lam[:p, None] - lam[None, p + z :])
+    lam_a, lam_g = lam[:p, None], lam[None, p + z :]
+    om = (np.maximum(lam_a, 0.0) - np.maximum(lam_g, 0.0)) / (lam_a - lam_g)
     w[:p, p + z :] = om
     w[p + z :, :p] = om.T
     return w
@@ -146,9 +151,7 @@ def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
       columns carry what J leaves out of sum_ab G_i[a, b] G_j[a, b] =
       <A_i, A_j>, so J = R R' - Kc Kc' with R R' the cached
       :attr:`LinearMap.gram` and Kc the same factor on the reversed spectrum,
-      whose mixed weights are -lam_c / (lam_a - lam_c) = 1 - omega.  A
-      zero-bucket eigenvalue above zero would make such a weight negative, so
-      that spectrum keeps the leading form.
+      whose mixed weights are the divided differences 1 - omega.
 
     Both forms err by about eps ||A_i|| ||A_j|| per entry.  K K' is psd by
     construction; the complement form is not, so its smallest eigenvalue can
@@ -164,7 +167,7 @@ def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
     if amap.diagonal_rows is not None:
         k, beta = amap.diagonal_rows
         return _diagonal_newton_matrix(dec.U[k], beta, dec.lam, p)
-    if p <= n - p or dec.lam[p] > 0:
+    if p <= n - p:
         K = _leading_gram_factor(amap.matrices(), dec.U, dec.lam, p)
         J = K @ K.T
     else:
@@ -198,7 +201,12 @@ class NewtonStatus(enum.Enum):
 
 @dataclass
 class NewtonOptions:
-    """Knobs for :func:`newton_solve`; defaults match the reference protocol."""
+    """Knobs for :func:`newton_solve`.
+
+    The defaults match the reference protocol wherever ||A||^2 >= 1 + ||b||;
+    below that the solver scales its regularization down to the units of
+    the Newton matrix (see :func:`newton_solve`).
+    """
 
     eps_final: float = 1e-13
     cond_budget: float = 16.0
@@ -240,6 +248,28 @@ class NewtonTrace:
         return np.array([it.relres for it in self.iterates])
 
 
+def _reg_scale(amap: LinearMap, b_scale: float) -> float:
+    """rho = min(1, ||A||^2 / b_scale): the units of J over those of F.
+
+    ``b_scale`` is 1 + ||b||.  ||A||^2 = lambda_max(A A*) bounds the Newton
+    matrix, since 0 <= P' <= I gives J <= A A*.  On an all-diagonal map A A*
+    is block diagonal over the rows that share one k, each block rank one,
+    so ||A||^2 is the largest sum of beta_i^2 over a k, read in O(m).  On
+    every other map ||A||^2 >= max_i ||A_i||^2, so rho is exactly 1 when that
+    reaches b_scale; only below it is the cached Gram matrix decomposed.
+    """
+    if amap.m == 0:
+        return 1.0
+    if amap.diagonal_rows is not None:
+        k, beta = amap.diagonal_rows
+        sigma = np.bincount(k, weights=beta * beta).max()
+    elif np.einsum("ij,ij->i", amap.rows, amap.rows).max() >= b_scale:
+        return 1.0
+    else:
+        sigma = np.linalg.eigvalsh(amap.gram)[-1]
+    return min(1.0, float(sigma) / b_scale)
+
+
 def _digits_lost(cond: float) -> int:
     # cond = beta * 10^s with beta in [1, 10)
     if not np.isfinite(cond) or cond <= 0:
@@ -269,8 +299,14 @@ def newton_solve(
 
     One eigendecomposition per iteration feeds the residual, the Newton matrix
     and its spectrum.  The step solves (J + lam*I) d = -F by Cholesky with
-    lam = 0.2*||F|| (floored at 1e-14), escalating lam tenfold if the
+    lam = 0.2*rho*||F|| (floored at 1e-14), escalating lam tenfold if the
     factorization fails and falling back to least squares as a last resort.
+    ||F|| is in the units of b and J in those of ||A||^2, and
+    rho = min(1, ||A||^2 / (1 + ||b||)), computed once per solve, converts
+    the one to the other (Fan & Yuan 2005 set the Levenberg-Marquardt
+    parameter from ||F|| in the problem's own scale).  Where
+    ||A||^2 >= 1 + ||b||, rho is exactly 1 and lam is 0.2*||F|| to the bit;
+    on the elliptope rho = 1/(1 + sqrt(n)).
     No line search; a step-norm cap of 1e8 guards against overflow on
     divergent dual sequences.
 
@@ -298,6 +334,7 @@ def newton_solve(
     m = inst.m
     y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
     b_scale = 1.0 + np.linalg.norm(inst.b)
+    rho = _reg_scale(inst.map, b_scale)
     t0 = time.perf_counter()
     iterates: list[NewtonIterate] = []
     status = NewtonStatus.ITER_LIMIT
@@ -333,7 +370,7 @@ def newton_solve(
             status = NewtonStatus.ITER_LIMIT
             break
 
-        reg = max(0.2 * normF, 1e-14)
+        reg = max(0.2 * rho * normF, 1e-14)
         _check_finite(F)
         d = None
         for _ in range(40):

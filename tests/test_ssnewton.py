@@ -8,11 +8,13 @@ from spectraproj import model, ssnewton, symcore
 from spectraproj.instances import (
     FAMILIES,
     GeneratorSpec,
+    fixture_dual_gap_face,
     gen_dual_unattained,
     gen_elliptope,
     gen_planted_noslater,
     gen_random_slater,
     generate,
+    noslater_suite_instance,
 )
 from spectraproj.model import LinearMap, residual_F
 from spectraproj.ssnewton import (
@@ -63,6 +65,24 @@ def test_weights_block_pattern():
     assert np.array_equal(w[:2, :3], np.ones((2, 3)))
     assert np.array_equal(w[2:, 2:], np.zeros((3, 3)))
     assert w[1, 4] == pytest.approx(1.0 / 4.0)
+
+
+def test_weights_stay_in_the_unit_interval_at_a_positive_zero_bucket():
+    # eig_sym puts 9e-11 in the zero bucket; folded into the later entries it
+    # pairs with 1.5e-10 at the divided difference of max(., 0), which is 1
+    lam = np.array([1.0, 1.5e-10, 9e-11, -1.0])
+    dec = _point_with_spectrum(lam, np.random.default_rng(5))
+    assert (dec.p, dec.z) == (2, 1)
+    w = _weights(dec.lam, dec.p, 0)
+    assert np.all((w >= 0.0) & (w <= 1.0))
+    assert w[1, 2] == 1.0
+    assert w[0, 3] == pytest.approx(0.5)
+    # 0 <= P' <= I, so the Newton matrix lies between 0 and the Gram matrix,
+    # on the all-diagonal and on the dense kernel
+    for amap in (gen_elliptope(4, seed=1).map, gen_random_slater(4, 6, seed=1).map):
+        J = _jacobian_from_dec(amap, dec)
+        assert np.linalg.eigvalsh(J)[0] >= -1e-15
+        assert np.linalg.eigvalsh(amap.gram - J)[0] >= -1e-15
 
 
 def test_dir_deriv_stack_matches_single_directions():
@@ -200,6 +220,17 @@ def _point_with_spectrum(lam, rng):
     return eig_sym((Q * lam) @ Q.T)
 
 
+def _scrambled_diagonal_map(n):
+    # one nonzero per row, at scrambled diagonal positions (5 twice), with
+    # non-unit and negative scales, and m < n
+    mats = []
+    for k, beta in zip([5, 1, 6, 2, 5], [1.7, -0.5, 1.0, 1.7, -0.5]):
+        A = np.zeros((n, n))
+        A[k, k] = beta
+        mats.append(A)
+    return LinearMap.from_matrices(mats)
+
+
 @pytest.mark.parametrize(
     "lam",
     [
@@ -211,16 +242,8 @@ def _point_with_spectrum(lam, rng):
     ],
 )
 def test_diagonal_newton_matrix_matches_the_dense_one(lam):
-    # one nonzero per row, at scrambled diagonal positions (one repeated),
-    # with non-unit and negative scales, and m < n
     rng = np.random.default_rng(14)
-    n = len(lam)
-    mats = []
-    for k, beta in zip([5, 1, 6, 2, 5], [1.7, -0.5, 1.0, 1.7, -0.5]):
-        A = np.zeros((n, n))
-        A[k, k] = beta
-        mats.append(A)
-    amap = LinearMap.from_matrices(mats)
+    amap = _scrambled_diagonal_map(len(lam))
     assert _is_diagonal(amap)
     _assert_matches_dense(amap, _point_with_spectrum(lam, rng))
 
@@ -267,8 +290,8 @@ def test_gram_factor_matches_the_dense_one_on_either_side(p, m):
 @pytest.mark.parametrize("p", [2, 4])
 def test_gram_factor_with_a_zero_bucket_matches_the_dense_one(p, zero):
     # two eigenvalues inside the zero threshold, on the leading (p = 2) and the
-    # complement (p = 4) side; one above zero would give the complement a
-    # negative weight, so such a spectrum takes the leading form
+    # complement (p = 4) side; above zero they weigh 1 against the positive
+    # bucket and 0 on the reversed spectrum, so either form holds
     rng = np.random.default_rng(p)
     amap = gen_random_slater(7, 12, seed=p).map
     lam = np.concatenate([np.linspace(3.0, 0.5, p), [zero, zero / 2], np.linspace(-0.4, -2.0, 5 - p)])
@@ -335,7 +358,84 @@ def test_elliptope_solve_never_forms_the_congruence_stack(monkeypatch):
 def test_elliptope_solves_keep_their_iteration_count(seed):
     trace = newton_solve(gen_elliptope(100, seed=seed))
     assert trace.status == NewtonStatus.SOLVED
-    assert trace.k_final == 19
+    assert trace.k_final == 7
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(100, s) for s in range(5)] + [(200, s) for s in range(5)] + [(300, 0)]
+)
+def test_elliptope_solves_in_ten_steps_at_any_order(n, seed):
+    # with reg = 0.2*||F|| unscaled these took 18, 35 and 52 steps at
+    # n = 100, 200 and 300
+    trace = newton_solve(gen_elliptope(n, seed=seed))
+    assert trace.status == NewtonStatus.SOLVED
+    assert trace.k_final <= 10
+
+
+def test_elliptope_regularization_scale():
+    # ||A||^2 = 1 and ||b|| = sqrt(100) = 10
+    assert ssnewton._reg_scale(gen_elliptope(100, seed=0).map, 11.0) == 1.0 / 11.0
+
+
+def test_diagonal_regularization_scale_reads_only_the_diagonal(monkeypatch):
+    # rows sharing a k form one rank-one block of A A*: 1.7^2 + 0.5^2 at k = 5
+    def refuse(self):
+        raise AssertionError("matrix stack built for an all-diagonal map")
+
+    amap = _scrambled_diagonal_map(7)
+    monkeypatch.setattr(LinearMap, "matrices", refuse)
+    rho = ssnewton._reg_scale(amap, 10.0)
+    assert "gram" not in vars(amap)
+    assert rho == pytest.approx(np.linalg.eigvalsh(amap.gram)[-1] / 10.0, rel=1e-15)
+    assert rho == pytest.approx((1.7**2 + 0.5**2) / 10.0, rel=1e-15)
+
+
+def test_map_without_rows_solves_at_once():
+    inst = model.BapInstance(map=LinearMap(n=3, rows=np.zeros((0, 6))), b=np.zeros(0), W=-np.eye(3))
+    trace = newton_solve(inst)
+    assert (trace.status, trace.k_final) == (NewtonStatus.SOLVED, 0)
+    assert np.array_equal(trace.triple.X, np.zeros((3, 3)))
+
+
+def test_regularization_scale_of_a_dense_map():
+    rows = gen_random_slater(6, 9, seed=2).map.rows
+    amap = LinearMap(n=6, rows=rows)
+    top = np.sum(rows**2, axis=1).max()
+    # a row of norm at least 1 + ||b|| decides rho = 1 without the Gram matrix
+    assert ssnewton._reg_scale(amap, 0.5 * top) == 1.0
+    assert "gram" not in vars(amap)
+    sigma = np.linalg.eigvalsh(rows @ rows.T)[-1]
+    assert ssnewton._reg_scale(amap, 2.0 * sigma) == pytest.approx(0.5, rel=1e-15)
+    assert ssnewton._reg_scale(LinearMap(n=6, rows=1e-3 * rows), 1.0) == pytest.approx(
+        1e-6 * sigma, rel=1e-14
+    )
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_random_slater(20, 30, seed=3),
+        gen_planted_noslater(15, 7, sd_target=1, iips_target=1, support_size=5, seed=0),
+        noslater_suite_instance(10, 0),
+        fixture_dual_gap_face(),
+    ],
+    ids=["RandomSlater20", "PlantedNoSlater15", "NoslaterSuite10", "DualGapFace"],
+)
+def test_regularization_scale_of_one_keeps_every_byte(inst, monkeypatch):
+    # ||A||^2 >= 1 + ||b|| on each (DualGapFace ties at 1), so rho is exactly 1
+    # and 0.2*rho*||F|| is the unscaled 0.2*||F||
+    scaled = newton_solve(inst)
+    monkeypatch.setattr(ssnewton, "_reg_scale", lambda amap, b_scale: 1.0)
+    plain = newton_solve(inst)
+    assert plain.status == scaled.status
+    assert len(plain.iterates) == len(scaled.iterates)
+    for a, b in zip(plain.iterates, scaled.iterates):
+        assert a.y.tobytes() == b.y.tobytes()
+        assert (a.relres, a.cond, a.lam_min_X) == (b.relres, b.cond, b.lam_min_X)
+        assert a.eig_J.tobytes() == b.eig_J.tobytes()
+    for name in ("X", "y", "Z"):
+        assert getattr(plain.triple, name).tobytes() == getattr(scaled.triple, name).tobytes()
+    assert plain.J.tobytes() == scaled.J.tobytes()
 
 
 def test_jacobian_is_psd_along_the_iteration():
