@@ -42,6 +42,7 @@ from .model import (
     BapInstance,
     InfeasibleManifoldError,
     dumps_json,
+    finite_array,
     kkt_residuals,
     load_instance,
     preprocess_surjective,
@@ -74,7 +75,7 @@ def _read_file(flag: str, path: str, read: Callable[[str], Any]) -> Any:
 
 
 def _read_point(path: str) -> np.ndarray:
-    payload = np.array(json.loads(Path(path).read_text())["X"], dtype=float)
+    payload = finite_array("X", json.loads(Path(path).read_text())["X"])
     return payload if payload.ndim == 2 else smat(payload)
 
 

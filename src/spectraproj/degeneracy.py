@@ -55,10 +55,11 @@ def _feasibility_guard(inst: BapInstance, X: np.ndarray) -> SpectralDecomp:
     X = 0.5 * (np.asarray(X, dtype=float) + np.asarray(X, dtype=float).T)
     dec = eig_sym(X, zero_tol=RANK_TOL)
     lo = dec.lam[-1]
-    if lo < -1e-9 * max(1.0, abs(dec.lam[0])):
+    # written as "not ok" so that a NaN entry fails both checks
+    if not lo >= -1e-9 * max(1.0, abs(dec.lam[0])):
         raise ValueError(f"X is not psd enough for a rank split: min eig {lo:.3e}")
     pf = scaled_primal_residual(inst, X)
-    if pf > FEAS_TOL:
+    if not pf <= FEAS_TOL:
         raise ValueError(f"X violates the linear constraints: scaled residual {pf:.3e}")
     return dec
 
@@ -171,7 +172,7 @@ def jacobian_degeneracy_crosscheck(
     ratio = float(eig_J[-1] / eig_J[0]) if eig_J.size and eig_J[0] > 0 else 0.0
     nonsing = ratio > RANK_TOL
     pf = scaled_primal_residual(inst, X)
-    if pf > FEAS_TOL:
+    if not pf <= FEAS_TOL:
         return CrosscheckReport(
             report=None, jacobian_nonsingular=nonsing, sigma_ratio_J=ratio,
             agree=None, inconclusive=True,

@@ -81,6 +81,11 @@ def generate(spec: GeneratorSpec) -> BapInstance:
     """Dispatch a GeneratorSpec to its family generator; a ``ValueError`` means a bad spec."""
     fam = spec.family
     ex = spec.extras
+    # a setting the family would ignore must not reach the config echo unused
+    if spec.m is not None and fam not in ("RandomSlater", "PlantedNoSlater"):
+        raise ValueError(f"m applies only to RandomSlater and PlantedNoSlater, not {fam}")
+    if ex and fam != "PlantedNoSlater":
+        raise ValueError(f"{', '.join(ex)} applies only to PlantedNoSlater, not {fam}")
     if fam == "Elliptope":
         return gen_elliptope(spec.n, seed=spec.seed, w_mode=spec.w_mode)
     if fam == "VontopePre":

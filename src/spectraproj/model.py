@@ -274,54 +274,21 @@ def primal_objective(inst: BapInstance, X: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _format_float(x: float) -> str:
-    if np.isnan(x):
-        return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def _emit(obj: Any, parts: list[str]) -> None:
-    # json.dumps formats floats with repr(), which can drop below 17 digits;
-    # instance files pin 17 significant digits, so emit by hand
+def _builtin(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), parts)
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _emit(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(v, parts)
-        parts.append("]")
-    elif isinstance(obj, (bool, np.bool_)):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps_json(payload: Any) -> str:
-    """Serialize to JSON with all reals at 17 significant digits (deterministic)."""
-    parts: list[str] = []
-    _emit(payload, parts)
-    return "".join(parts)
+    """Serialize to compact JSON; each float is written as its shortest round-trip repr."""
+    return json.dumps(payload, separators=(",", ":"), default=_builtin)
 
 
 def instance_to_dict(inst: BapInstance) -> dict[str, Any]:
@@ -336,20 +303,27 @@ def instance_to_dict(inst: BapInstance) -> dict[str, Any]:
 
 
 def save_instance(inst: BapInstance, path: str) -> None:
-    """Write an instance to a JSON file (17 significant digits, deterministic)."""
+    """Write an instance to a JSON file (deterministic; floats read back bitwise)."""
     with open(path, "w") as fh:
         fh.write(dumps_json(instance_to_dict(inst)))
         fh.write("\n")
 
 
+def finite_array(name: str, values: Any) -> np.ndarray:
+    """``values`` as a float array; raises ``ValueError`` on a NaN or infinite entry."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return arr
+
+
 def instance_from_dict(payload: dict[str, Any]) -> BapInstance:
     n = int(payload["n"])
-    rows = np.asarray(payload["A"], dtype=float)
-    amap = LinearMap(n=n, rows=rows)
+    amap = LinearMap(n=n, rows=finite_array("A", payload["A"]))
     if amap.m != int(payload["m"]):
         raise ValueError("declared m does not match the number of rows in A")
-    W = smat(np.asarray(payload["W"], dtype=float))
-    return BapInstance(map=amap, b=np.asarray(payload["b"], dtype=float),
+    W = smat(finite_array("W", payload["W"]))
+    return BapInstance(map=amap, b=finite_array("b", payload["b"]),
                        W=W, meta=payload.get("meta", {}))
 
 

@@ -126,6 +126,27 @@ def test_malformed_instance_file_is_a_usage_error(tmp_path, capsys, corrupt, rea
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("solve", "A", float("nan")),
+        ("pipeline", "b", float("nan")),
+        ("diagnose", "W", float("-inf")),
+        ("fr", "W", float("inf")),
+    ],
+    ids=["solve", "pipeline", "diagnose", "fr"],
+)
+def test_non_finite_instance_file_is_a_usage_error(tmp_path, capsys, command, key, value):
+    payload = _instance_payload()
+    entries = payload[key][0] if key == "A" else payload[key]
+    entries[-1] = value
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(payload))
+    err = _usage_error(capsys, command, "--instance", str(src), "--out", str(tmp_path / "o"))
+    assert f"cannot load --instance {src}: ValueError: {key} has a non-finite entry" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_instance_file_is_a_usage_error(tmp_path, capsys):
     src = tmp_path / "absent.json"
     err = _usage_error(capsys, "fr", "--instance", str(src), "--out", str(tmp_path / "o"))
@@ -138,8 +159,9 @@ def test_missing_instance_file_is_a_usage_error(tmp_path, capsys):
         ("{", "JSONDecodeError"),
         (json.dumps({"Y": np.eye(6).tolist()}), "KeyError: 'X'"),
         (json.dumps({"X": np.eye(5).tolist()}), "shape (5, 5), the instance has order 6"),
+        (json.dumps({"X": np.diag([1.0] * 5 + [np.nan]).tolist()}), "X has a non-finite entry"),
     ],
-    ids=["json", "key", "order"],
+    ids=["json", "key", "order", "nan"],
 )
 def test_malformed_point_file_is_a_usage_error(tmp_path, capsys, text, reason):
     xfile = tmp_path / "x.json"
@@ -268,6 +290,17 @@ def test_solve_drops_consistent_duplicate_rows(tmp_path, capsys):
     assert "status=Solved" in capsys.readouterr().out
     rep = json.loads((out / "report.json").read_text())
     assert rep["relres"] <= 1e-13
+
+
+def test_pipeline_report_floats_read_back_as_floats(tmp_path, capsys):
+    out = tmp_path / "pipe"
+    assert _run(
+        "pipeline", "--gen", "PlantedNoSlater", "--n", "15", "--m", "7",
+        "--sd", "1", "--iips", "1", "--support", "5", "--out", str(out),
+    ) == EXIT_OK
+    rep = json.loads((out / "report.json").read_text())
+    assert type(rep["config"]["options"]["cond_budget"]) is float
+    assert all(type(r["relres"]) is float for r in rep["rounds"])
 
 
 def test_pipeline_skips_rank_test_off_its_feasibility_tolerance(tmp_path, capsys):
@@ -455,8 +488,15 @@ def test_generated_order_must_be_positive(tmp_path, capsys):
         (("--gen", "RandomSlater", "--n", "3", "--m", "7"), "m must lie in [1, 6]"),
         (("--gen", "PlantedNoSlater", "--n", "3", "--m", "7"), "m must be at most 6"),
         (("--gen", "Elliptope", "--seed", "-1"), "--seed must be at least 0"),
+        (("--gen", "Elliptope", "--m", "9", "--sd", "3"),
+         "m applies only to RandomSlater and PlantedNoSlater, not Elliptope"),
+        (("--gen", "RandomSlater", "--iips", "2", "--support", "3"),
+         "iips, support applies only to PlantedNoSlater, not RandomSlater"),
     ],
-    ids=["rank1", "vontope-n", "sd", "support", "unattained-n", "slater-m", "planted-m", "seed"],
+    ids=[
+        "rank1", "vontope-n", "sd", "support", "unattained-n", "slater-m", "planted-m", "seed",
+        "ignored-m", "ignored-extras",
+    ],
 )
 def test_generator_argument_error_is_a_usage_error(tmp_path, capsys, argv, reason):
     err = _usage_error(capsys, "gen", *argv, "--out", str(tmp_path / "o"))

@@ -105,6 +105,16 @@ def test_rank_test_refuses_infeasible_points():
         is_nondegenerate(inst, np.diag([1.0, 1.0, 1.0, 1.0, -1.0]))
 
 
+def test_rank_test_and_crosscheck_refuse_a_nan_point():
+    # every comparison with NaN is false, so "pf > tol" would let it through
+    inst = gen_elliptope(2)
+    X = np.array([[1.0, 0.0], [0.0, np.nan]])
+    with pytest.raises(ValueError):
+        is_nondegenerate(inst, X)
+    cc = jacobian_degeneracy_crosscheck(inst, newton_solve(inst), X=X)
+    assert cc.report is None and cc.agree is None and cc.inconclusive
+
+
 def test_crosscheck_on_a_clean_solve():
     inst = gen_elliptope(8, seed=5)
     trace = newton_solve(inst)

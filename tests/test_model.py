@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -156,11 +159,29 @@ def test_json_serialization_is_stable(tmp_path):
     assert np.allclose(loaded.W, inst.W, rtol=0, atol=1e-15)
 
 
-def test_json_floats_keep_seventeen_digits():
+def test_json_floats_use_shortest_round_trip_spelling():
     x = 1.0 / 3.0
     s = dumps_json({"x": x})
-    assert s == '{"x":0.33333333333333331}'
+    assert s == '{"x":0.3333333333333333}'
     assert dumps_json([float("inf"), float("-inf")]) == "[Infinity,-Infinity]"
+
+
+def test_json_values_read_back_with_their_types():
+    payload = {
+        "one": 1.0, "neg_zero": -0.0, "big": 9751922431660104.0, "nan": float("nan"),
+        "flag": np.bool_(True), "count": np.int64(7), "arr": np.array([2.0, -0.0]),
+    }
+    back = json.loads(dumps_json(payload))
+    for key in ("one", "neg_zero", "big"):
+        assert type(back[key]) is float and back[key] == payload[key]
+    assert math.copysign(1.0, back["neg_zero"]) == -1.0
+    assert type(back["nan"]) is float and math.isnan(back["nan"])
+    assert back["flag"] is True
+    assert type(back["count"]) is int and back["count"] == 7
+    assert [type(v) for v in back["arr"]] == [float, float]
+    assert back["arr"] == [2.0, 0.0] and math.copysign(1.0, back["arr"][1]) == -1.0
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps_json({"x": object()})
 
 
 def test_instance_dict_row_count_checked():
