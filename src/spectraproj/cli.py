@@ -74,9 +74,22 @@ def _read_file(flag: str, path: str, read: Callable[[str], Any]) -> Any:
         _usage_error(f"cannot load {flag} {path}: {type(exc).__name__}: {exc}")
 
 
+#: largest |X - X'| entry a 2-d point may carry, relative to max(1, max |X|):
+#: a few roundings, where a point the package writes is exactly symmetric
+_SYMMETRY_TOL = 1e-12
+
+
 def _read_point(path: str) -> np.ndarray:
     payload = finite_array("X", json.loads(Path(path).read_text())["X"])
-    return payload if payload.ndim == 2 else smat(payload)
+    if payload.ndim != 2:
+        return smat(payload)
+    if payload.shape[0] == payload.shape[1]:
+        # eigvalsh reads one triangle and the rank test the other, so a
+        # non-symmetric X would get a verdict about neither matrix
+        asym = float(np.abs(payload - payload.T).max(initial=0.0))
+        if asym > _SYMMETRY_TOL * max(1.0, float(np.abs(payload).max(initial=0.0))):
+            raise ValueError(f"X is not symmetric: max |X - X'| = {asym:.3e}")
+    return payload
 
 
 def _parse_emit(text: str) -> set[str]:

@@ -18,8 +18,8 @@ from typing import Any, Callable
 import numpy as np
 import scipy.linalg
 
-from .model import BapInstance, LinearMap, load_instance, preprocess_surjective
-from .symcore import diag_positions, svec, tri_len
+from .model import BapInstance, LinearMap, _row_rank, load_instance, preprocess_surjective
+from .symcore import BLOCK_DOUBLES, diag_positions, svec, tri_len
 
 FAMILIES = (
     "Elliptope",
@@ -55,6 +55,21 @@ def _rng(seed: int, family: str, salt: int = 0) -> np.random.Generator:
 def _sym(rng: np.random.Generator, n: int) -> np.ndarray:
     G = rng.standard_normal((n, n))
     return 0.5 * (G + G.T)
+
+
+def _sym_rows(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """(m, tri_len(n)) rows svec(_sym(rng, n)), drawn a block of matrices at a time.
+
+    A (k, n, n) draw is the same stream as k draws of (n, n), and each
+    matrix is symmetrized and half-vectorized by the same operations, so the
+    rows are bitwise those of m calls of :func:`_sym`.
+    """
+    rows = np.empty((m, tri_len(n)))
+    step = max(1, BLOCK_DOUBLES // (n * n))
+    for i in range(0, m, step):
+        G = rng.standard_normal((min(step, m - i), n, n))
+        rows[i : i + step] = svec(0.5 * (G + np.swapaxes(G, -1, -2)))
+    return rows
 
 
 def _orth(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -154,9 +169,8 @@ def gen_random_slater(
     if not 1 <= m <= tri_len(n):
         raise ValueError(f"m must lie in [1, {tri_len(n)}] for order {n}, got {m}")
     rng = _rng(seed, "RandomSlater")
-    rows = np.array([svec(_sym(rng, n)) for _ in range(m)])
-    amap, _, removed = preprocess_surjective(LinearMap(n=n, rows=rows), np.zeros(m))
-    if removed:
+    amap = LinearMap(n=n, rows=_sym_rows(rng, n, m))
+    if _row_rank(amap) < m:
         raise RuntimeError("Gaussian rows came out rank deficient; try another seed")
     G = rng.standard_normal((n, n)) / np.sqrt(n)
     Xhat = G @ G.T + np.eye(n)
@@ -255,7 +269,7 @@ def gen_planted_noslater(
         if np.linalg.matrix_rank(Lam) < d:
             continue
 
-        rows = np.array([svec(_sym(rng, n)) for _ in range(m)])
+        rows = _sym_rows(rng, n, m)
         for j, idx in enumerate(reserved):
             u = V0 @ rng.standard_normal(r)
             u /= np.linalg.norm(u)
@@ -264,16 +278,13 @@ def gen_planted_noslater(
             rows[idx] = svec(np.outer(u, v) + np.outer(v, u))
         Msvec = np.array([svec(Mk) for Mk in M_list])
         corr = np.linalg.solve(Lam @ Lam.T, Msvec - Lam @ rows)
-        rows = rows + Lam.T @ corr
-
-        sv = scipy.linalg.svdvals(rows)
-        if sv[-1] <= 1e-9 * sv[0]:
+        amap = LinearMap(n=n, rows=rows + Lam.T @ corr)
+        if _row_rank(amap) < m:
             continue
 
         G0 = rng.standard_normal((r, r))
         Rhat = G0 @ G0.T / r + np.eye(r)
         Xhat = V0 @ Rhat @ V0.T
-        amap = LinearMap(n=n, rows=rows)
         b = amap.apply(Xhat)
 
         planted: dict[str, Any] = {

@@ -149,6 +149,32 @@ class KktTriple:
     Z: np.ndarray
 
 
+#: rows are dependent when sigma_min <= _RANK_TOL * sigma_max
+_RANK_TOL = 1e-9
+#: shift of the full-rank certificate, relative to trace(G)
+_CERT_TAU = 1e-10
+
+
+def _row_rank(amap: LinearMap) -> int:
+    """Numerical row rank of ``amap``: singular values above 1e-9 * sigma_max.
+
+    Full rank is first certified from the cached Gram matrix
+    :attr:`LinearMap.gram`; the singular values are computed only when the
+    certificate declines.  :func:`preprocess_surjective` derives its bound.
+    """
+    rows = amap.rows
+    m, t = rows.shape
+    if m <= t and (t + m + 2) * np.finfo(float).eps <= 0.1 * _CERT_TAU:
+        G = amap.gram
+        try:
+            np.linalg.cholesky(G - _CERT_TAU * np.trace(G) * np.eye(m))
+            return m
+        except np.linalg.LinAlgError:
+            pass
+    sv = scipy.linalg.svdvals(rows)
+    return int(np.sum(sv > _RANK_TOL * (sv[0] if sv.size else 0.0)))
+
+
 def preprocess_surjective(
     amap: LinearMap, b: np.ndarray
 ) -> tuple[LinearMap, np.ndarray, list[int]]:
@@ -162,6 +188,22 @@ def preprocess_surjective(
     that reproduces it, otherwise the linear manifold is empty and
     :class:`InfeasibleManifoldError` is raised.
 
+    Full row rank is certified before any SVD: a Cholesky factorization of
+    G - tau * tr(G) * I, with G the cached m-by-m Gram matrix of the t-long
+    rows (:attr:`LinearMap.gram`) and tau = 1e-10.  The computed G is within
+    gamma_t tr(G) of the exact one in the 2-norm (gamma_k = k eps/(1 - k eps)),
+    forming the shifted diagonal adds about eps tr(G), and a Cholesky that
+    succeeds is exact for a matrix within gamma_{m+1} ||R'R|| <= gamma_{m+1}
+    tr(G) of its input, R the factor.  Success therefore proves
+    lambda_min(G) >= (tau - (t + m + 2) eps) tr(G) to first order.  The
+    certificate is tried only when (t + m + 2) eps <= tau / 10, so then
+    lambda_min(G) >= 0.9 tau tr(G) >= 0.9 tau lambda_max(G), that is
+    sigma_min / sigma_max >= 9e-6.  The SVD, accurate to a small multiple of
+    eps sigma_max, would keep every row at that ratio, so ``(amap, b, [])``
+    is returned without one.  When the factorization fails, or the rows are
+    too long for the bound, the SVD, pivoted QR and least squares run as
+    described above.
+
     Returns
     -------
     (reduced_map, reduced_b, removed_indices)
@@ -172,8 +214,7 @@ def preprocess_surjective(
     if m == 0:
         return LinearMap(n=amap.n, rows=rows.reshape(0, tri_len(amap.n))), b, []
 
-    sv = scipy.linalg.svdvals(rows)
-    rank = int(np.sum(sv > 1e-9 * (sv[0] if sv.size else 0.0)))
+    rank = _row_rank(amap)
     if rank == m:
         return amap, b, []
 

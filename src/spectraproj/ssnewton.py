@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import BapInstance, KktTriple, LinearMap
-from .symcore import SpectralDecomp, eig_sym, project_psd
+from .symcore import BLOCK_DOUBLES, SpectralDecomp, eig_sym, project_psd
 
 __all__ = [
     "NewtonOptions",
@@ -121,12 +121,22 @@ def _leading_gram_factor(
     its first ``s`` entries lie above the rest.  Row i of K holds G_i[:s, :s]
     and then sqrt(2 omega) o G_i[s:, :s], with G_i = V' A_i V and the omega
     weights of :func:`_weights`, so (K K')_ij sums the leading s-by-s block
-    once and the mixed block twice.  Only the s columns are formed: one GEMM
-    on the (m*n, n) view of the stack, then one batched product with V'.
+    once and the mixed block twice.  Only the s columns are formed, a block
+    of rows at a time: C = A_i V_s by one GEMM on the block's (rows*n, n)
+    view of the stack, then V' C by a batched product written straight into
+    the factor.  C is one buffer of :data:`BLOCK_DOUBLES` doubles at most
+    (one row's n*s where that is larger), so the peak is the factor plus one
+    block, and each row's products are those of one GEMM over the stack.
     """
     m, n = mats.shape[:2]
-    C = (mats.reshape(m * n, n) @ V[:, :s]).reshape(m, n, s)
-    G = np.matmul(V.T, C)
+    G = np.empty((m, n, s))
+    step = max(1, BLOCK_DOUBLES // (n * s))
+    C = np.empty((min(step, m), n, s))
+    for i in range(0, m, step):
+        block = mats[i : i + step]
+        k = block.shape[0]
+        np.matmul(block.reshape(k * n, n), V[:, :s], out=C[:k].reshape(k * n, s))
+        np.matmul(V.T, C[:k], out=G[i : i + k])
     G[:, s:] *= np.sqrt(2.0 * _weights(lam, s, 0)[s:, :s])
     return G.reshape(m, n * s)
 

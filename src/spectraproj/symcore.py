@@ -20,6 +20,10 @@ SQRT2 = np.sqrt(2.0)
 #: relative threshold below which an eigenvalue counts as zero
 DEFAULT_ZERO_TOL = 1e-10
 
+#: doubles in one block of a stack built a block of rows at a time (2 MB,
+#: about a cache's worth), so a temporary never grows with the row count
+BLOCK_DOUBLES = 1 << 18
+
 
 def tri_len(n: int) -> int:
     """Length n*(n+1)/2 of the half-vectorization of an order-n symmetric matrix."""
@@ -83,17 +87,17 @@ def _svec_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=32)
 def _smat_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (n, n) table of svec positions, and the per-position divisor.
+    """Read-only (n, n) tables of svec positions and of the per-entry divisor.
 
     ``pos[a, b]`` is where X[a, b] (or X[b, a]) sits in ``svec(X)``;
-    ``scale`` is 1 at diagonal positions and sqrt(2) elsewhere.
+    ``div[a, b]`` is 1 on the diagonal and sqrt(2) elsewhere.
     """
     iu, ju = np.triu_indices(n)
     pos = np.zeros((n, n), dtype=np.intp)
     pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
-    scale = np.where(iu == ju, 1.0, SQRT2)
-    pos.flags.writeable = scale.flags.writeable = False
-    return pos, scale
+    div = np.where(np.eye(n, dtype=bool), 1.0, SQRT2)
+    pos.flags.writeable = div.flags.writeable = False
+    return pos, div
 
 
 def smat(v: np.ndarray) -> np.ndarray:
@@ -101,10 +105,13 @@ def smat(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim < 1:
         raise ValueError("expected a vector or a stack of vectors")
-    pos, scale = _smat_gather(tri_order(v.shape[-1]))
-    # divide, since a product with 1/sqrt(2) rounds differently; take, since
-    # fancy indexing a stack returns a transposed (non C-order) layout
-    return np.take(v / scale, pos, axis=-1)
+    pos, div = _smat_gather(tri_order(v.shape[-1]))
+    # take, since fancy indexing a stack returns a transposed (non C-order)
+    # layout; then divide in place, since a product with 1/sqrt(2) rounds
+    # differently, and dividing after the gather needs no copy of v
+    M = np.take(v, pos, axis=-1)
+    M /= div
+    return M
 
 
 @dataclass

@@ -173,6 +173,35 @@ def test_malformed_point_file_is_a_usage_error(tmp_path, capsys, text, reason):
     assert reason in err
 
 
+@pytest.mark.parametrize("X", [[[1.0, 5.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]]],
+                         ids=["upper", "lower"])
+def test_non_symmetric_point_file_is_a_usage_error(tmp_path, capsys, X):
+    # eigvalsh reads one triangle of X: without the check the first point was
+    # reported with min eig 1.0 against a reason of -1.5, and the second got
+    # verdict=Nondegenerate
+    xfile = tmp_path / "x.json"
+    xfile.write_text(json.dumps({"X": X}))
+    out = tmp_path / "o"
+    err = _usage_error(
+        capsys, "diagnose", "--gen", "Elliptope", "--n", "2", "--x-json", str(xfile),
+        "--out", str(out),
+    )
+    assert err.count("\n") == 1 and "X is not symmetric" in err
+    assert not out.exists()
+
+
+def test_point_file_symmetric_to_rounding_is_accepted(tmp_path, capsys):
+    X = np.eye(2)
+    X[0, 1] = 1e-17
+    xfile = tmp_path / "x.json"
+    xfile.write_text(json.dumps({"X": X.tolist()}))
+    assert _run(
+        "diagnose", "--gen", "Elliptope", "--n", "2", "--x-json", str(xfile),
+        "--out", str(tmp_path / "o"),
+    ) == EXIT_OK
+    assert "verdict=Nondegenerate" in capsys.readouterr().out
+
+
 def test_usage_error_is_the_process_exit_status(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(spectraproj.__file__).parents[1]))
     proc = subprocess.run(

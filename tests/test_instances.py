@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from spectraproj import instances
 from spectraproj.facialred import fr_loop, solve_aux_gauss_newton
 from spectraproj.instances import (
     FAMILIES,
@@ -23,7 +25,7 @@ from spectraproj.instances import (
     vontope_null_basis,
 )
 from spectraproj.model import dumps_json, instance_to_dict, kkt_residuals, KktTriple
-from spectraproj.symcore import smat, tri_len
+from spectraproj.symcore import BLOCK_DOUBLES, smat, svec, tri_len
 
 
 def test_every_family_dispatches():
@@ -238,6 +240,34 @@ def test_anchor_modes_per_family(family):
             make("rank1")
     with pytest.raises(ValueError, match="unknown w_mode 'bogus'"):
         make("bogus")
+
+
+def test_random_slater_rows_are_bitwise_the_per_row_draws():
+    n, m, seed = 30, 300, 5
+    step = BLOCK_DOUBLES // (n * n)
+    assert m > step and m % step
+    inst = gen_random_slater(n, m, seed=seed)
+    # reference: one (n, n) draw per row, then the rest of the stream as the
+    # generator continues it
+    rng = instances._rng(seed, "RandomSlater")
+    rows = np.array([svec(instances._sym(rng, n)) for _ in range(m)])
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    Xhat = G @ G.T + np.eye(n)
+    assert inst.map.rows.tobytes() == rows.tobytes()
+    assert inst.b.tobytes() == (rows @ svec(Xhat)).tobytes()
+    assert inst.W.tobytes() == instances._sym(rng, n).tobytes()
+
+
+def test_planted_noslater_rank_test_is_the_singular_value_cut(monkeypatch):
+    # the generator's "rows are dependent, draw again" decision is
+    # sigma_min <= 1e-9 sigma_max, decided without an SVD on independent rows
+    calls = []
+    real = scipy.linalg.svdvals
+    monkeypatch.setattr(scipy.linalg, "svdvals", lambda a: calls.append(1) or real(a))
+    inst = gen_planted_noslater(30, 40, sd_target=2, iips_target=3, support_size=5, seed=1000)
+    assert calls == [] and inst.meta["attempt"] == 0
+    sv = real(inst.map.rows)
+    assert sv[-1] > 1e-9 * sv[0]
 
 
 def test_random_slater_rows_must_fit_the_order():

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from spectraproj import model
 from spectraproj.instances import fixture_sd2_chain, gen_elliptope, gen_random_slater
 from spectraproj.model import (
     BapInstance,
@@ -87,6 +89,111 @@ def test_preprocess_keeps_full_rank_untouched():
     red, bred, removed = preprocess_surjective(amap, np.arange(4.0))
     assert removed == []
     assert red is amap
+
+
+def _svd_preprocess(rows, b):
+    # the SVD path alone: rank from singular values, kept rows by pivoted QR,
+    # consistency through least squares
+    m = rows.shape[0]
+    sv = scipy.linalg.svdvals(rows)
+    rank = int(np.sum(sv > 1e-9 * sv[0]))
+    if rank == m:
+        return rows, b, []
+    _, _, piv = scipy.linalg.qr(rows.T, mode="economic", pivoting=True)
+    keep = sorted(piv[:rank].tolist())
+    removed = sorted(set(range(m)) - set(keep))
+    coeff, *_ = np.linalg.lstsq(rows[keep].T, rows[removed].T, rcond=None)
+    for j, idx in enumerate(removed):
+        gap = abs(b[idx] - coeff[:, j] @ b[keep])
+        if gap > 1e-9 * (1.0 + np.linalg.norm(b)):
+            raise InfeasibleManifoldError(
+                f"row {idx} is dependent but inconsistent (gap {gap:.3e}); "
+                "infeasible linear manifold"
+            )
+    return rows[keep], b[keep], removed
+
+
+def _counting_svdvals(monkeypatch):
+    calls = []
+
+    def svdvals(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    real = scipy.linalg.svdvals
+    monkeypatch.setattr(scipy.linalg, "svdvals", svdvals)
+    return calls
+
+
+def _near_dependent_rows(ratio, rng):
+    # 12 Gaussian rows of order 6, and a 13th that is their combination plus
+    # a direction off their span scaled so sigma_min / sigma_max ~ ratio
+    rows = _rand_map(6, 12, rng).rows.copy()
+    Q, _ = np.linalg.qr(rows.T, mode="complete")
+    off = Q[:, -1] * ratio * np.linalg.norm(rows, 2)
+    return np.vstack([rows, rng.standard_normal(12) @ rows + off])
+
+
+def test_gaussian_rows_are_certified_full_rank_without_an_svd(monkeypatch):
+    calls = _counting_svdvals(monkeypatch)
+    amap = gen_random_slater(30, 200, seed=4).map
+    red, bred, removed = preprocess_surjective(amap, np.ones(200))
+    assert calls == [] and removed == [] and red is amap
+    _, _, ref_removed = _svd_preprocess(amap.rows, np.ones(200))
+    assert ref_removed == []
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_dependent_rows_take_the_svd_path_with_its_outcome(monkeypatch, consistent):
+    rng = np.random.default_rng(11)
+    rows = _rand_map(5, 8, rng).rows
+    rows = np.vstack([rows, 2.0 * rows[1], rows[0] - rows[6], rows[3]])
+    x = rng.standard_normal(rows.shape[1])
+    b = rows @ x
+    if not consistent:
+        b[9] += 1e-3
+    calls = _counting_svdvals(monkeypatch)
+    if consistent:
+        red, bred, removed = preprocess_surjective(LinearMap(n=5, rows=rows), b)
+        ref_rows, ref_b, ref_removed = _svd_preprocess(rows, b)
+        assert removed == ref_removed and len(removed) == 3
+        assert np.array_equal(red.rows, ref_rows) and np.array_equal(bred, ref_b)
+    else:
+        with pytest.raises(InfeasibleManifoldError) as got:
+            preprocess_surjective(LinearMap(n=5, rows=rows), b)
+        with pytest.raises(InfeasibleManifoldError) as ref:
+            _svd_preprocess(rows, b)
+        assert str(got.value) == str(ref.value)
+    assert len(calls) == 2  # the certificate declined: the package and the reference
+
+
+def test_certificate_declines_a_nearly_dependent_row_the_svd_keeps(monkeypatch):
+    rows = _near_dependent_rows(1e-7, np.random.default_rng(12))
+    sv = scipy.linalg.svdvals(rows)
+    assert 1e-9 < sv[-1] / sv[0] < 1e-6
+    calls = _counting_svdvals(monkeypatch)
+    amap = LinearMap(n=6, rows=rows)
+    red, _, removed = preprocess_surjective(amap, rows @ np.ones(21))
+    assert len(calls) == 1 and removed == [] and red is amap
+
+
+def test_a_row_below_the_rank_cut_is_removed():
+    rows = _near_dependent_rows(1e-11, np.random.default_rng(13))
+    sv = scipy.linalg.svdvals(rows)
+    assert sv[-1] / sv[0] < 1e-9
+    b = rows @ np.ones(21)
+    red, bred, removed = preprocess_surjective(LinearMap(n=6, rows=rows), b)
+    ref_rows, ref_b, ref_removed = _svd_preprocess(rows, b)
+    assert removed == ref_removed and len(removed) == 1
+    assert np.array_equal(red.rows, ref_rows) and np.array_equal(bred, ref_b)
+
+
+def test_row_rank_certificate_is_skipped_for_long_rows(monkeypatch):
+    # with (t + m + 2) eps above tau / 10 the bound proves nothing: SVD only
+    calls = _counting_svdvals(monkeypatch)
+    monkeypatch.setattr(model, "_CERT_TAU", 1e-14)
+    assert model._row_rank(_rand_map(6, 12, np.random.default_rng(14))) == 12
+    assert len(calls) == 1
 
 
 def test_root_assembles_kkt_triple():

@@ -24,6 +24,7 @@ from spectraproj.ssnewton import (
     NewtonTrace,
     _dir_deriv_from_dec,
     _jacobian_from_dec,
+    _leading_gram_factor,
     _weights,
     dir_deriv_proj,
     jacobian,
@@ -31,7 +32,7 @@ from spectraproj.ssnewton import (
     newton_solve,
     trace_to_csv,
 )
-from spectraproj.symcore import eig_sym, smat
+from spectraproj.symcore import BLOCK_DOUBLES, eig_sym, smat
 
 
 def _sym(rng, n, scale=1.0):
@@ -315,6 +316,49 @@ def test_gram_factor_assembly_stays_below_one_stack(p):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * amap.m * amap.n**2 * 8
+
+
+def test_gram_factor_peak_is_the_factor_plus_one_block():
+    # n=100, m=200, s=50: the stack is 16 MB and the factor 8 MB; forming all
+    # of A_i V_s before V' (A_i V_s) would hold a second 8 MB
+    amap = gen_random_slater(100, 200, seed=0).map
+    lam = np.concatenate([np.linspace(3.0, 0.5, 50), np.linspace(-0.5, -2.0, 50)])
+    dec = _point_with_spectrum(lam, np.random.default_rng(0))
+    amap.matrices(), amap.gram
+    tracemalloc.start()
+    try:
+        _jacobian_from_dec(amap, dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    factor = amap.m * amap.n * 50 * 8
+    # slack: the weights, J and its symmetrization, each under 0.4 MB
+    assert peak <= factor + BLOCK_DOUBLES * 8 + 2**20
+
+
+def _one_shot_gram_factor(mats, V, lam, s):
+    m, n = mats.shape[:2]
+    C = (mats.reshape(m * n, n) @ V[:, :s]).reshape(m, n, s)
+    G = np.matmul(V.T, C)
+    G[:, s:] *= np.sqrt(2.0 * _weights(lam, s, 0)[s:, :s])
+    return G.reshape(m, n * s)
+
+
+@pytest.mark.parametrize("p", [25, 45])
+def test_blocked_gram_factor_is_bitwise_the_one_shot_factor(p):
+    n, m = 60, 300
+    amap = gen_random_slater(n, m, seed=2).map
+    lam = np.concatenate([np.linspace(3.0, 0.5, p), np.linspace(-0.5, -2.0, n - p)])
+    dec = _point_with_spectrum(lam, np.random.default_rng(1))
+    mats = amap.matrices()
+    if p <= n - p:
+        V, w, s = dec.U, dec.lam, p
+    else:
+        V, w, s = dec.U[:, ::-1], -dec.lam[::-1], n - p
+    step = BLOCK_DOUBLES // (n * s)
+    assert m > step and m % step
+    K = _leading_gram_factor(mats, V, w, s)
+    assert K.tobytes() == _one_shot_gram_factor(mats, V, w, s).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -96,6 +96,22 @@ def test_smat_gather_is_bitwise_the_scatter_inverse():
         assert M.flags.c_contiguous
 
 
+def test_smat_is_bitwise_the_divide_then_gather_form():
+    # the form smat had before it divided after the gather
+    def divide_then_gather(v):
+        n = tri_order(v.shape[-1])
+        iu, ju = np.triu_indices(n)
+        pos = np.zeros((n, n), dtype=np.intp)
+        pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+        scale = np.where(iu == ju, 1.0, np.sqrt(2.0))
+        return np.take(v / scale, pos, axis=-1)
+
+    rng = np.random.default_rng(9)
+    for shape in ((tri_len(11),), (6, tri_len(11)), (2, 5, tri_len(4))):
+        v = rng.standard_normal(shape)
+        assert smat(v).tobytes() == divide_then_gather(v).tobytes()
+
+
 def _svec_reference(M):
     iu, ju = np.triu_indices(M.shape[-1])
     v = M[..., iu, ju].copy()
