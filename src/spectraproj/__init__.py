@@ -83,6 +83,7 @@ from .instances import (
     gen_random_slater,
     gen_vontope,
     generate,
+    known_nearest_point,
     load_fixture,
     noslater_suite_instance,
     vontope_lift_vertex,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import BapInstance, scaled_primal_residual
 from .ssnewton import NewtonTrace
-from .symcore import SpectralDecomp, eig_sym
+from .symcore import SpectralDecomp, eig_sym, svec, tri_len
 
 RANK_TOL = 1e-8
 #: largest scaled residual ||A(X) - b|| / (1 + ||b||) the rank test accepts
@@ -84,9 +84,15 @@ def _build_L_split(
     r = dec.p
     V = dec.U[:, :r]
     Vbar = dec.U[:, r:]
-    top = inst.map.restrict(V).rows
-    mid = np.sqrt(2.0) * (V.T @ inst.map.matrices() @ Vbar).reshape(inst.m, r * (inst.n - r))
-    return np.hstack([top, mid]).T, V, Vbar
+    # both parts of each column from one pass over the blocks of A_i
+    t = tri_len(r)
+    Lt = np.empty((inst.m, t + r * (inst.n - r)))
+    for i, block in inst.map._matrix_blocks():
+        k = len(block)
+        VB = V.T @ block
+        Lt[i : i + k, :t] = svec(VB @ V)
+        Lt[i : i + k, t:] = np.sqrt(2.0) * (VB @ Vbar).reshape(k, r * (inst.n - r))
+    return Lt.T, V, Vbar
 
 
 def _rank(sv: np.ndarray) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 from .model import BapInstance, preprocess_surjective, residual_F_face
 from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, newton_solve
 from .ssnewton import _dir_deriv_from_dec
-from .symcore import SpectralDecomp, eig_sym, svec
+from .symcore import SpectralDecomp, eig_sym, svec, tri_len
 
 #: residual a certificate must reach, and the slack its checks allow
 CERT_TOL = 1e-9
@@ -136,9 +136,13 @@ def _aux_residual(inst: BapInstance, lam: np.ndarray) -> tuple[np.ndarray, Spect
 
 def _aux_jacobian(inst: BapInstance, dec: SpectralDecomp) -> np.ndarray:
     # residual row block is svec(M - P(M)); its derivative in lam_j is
-    # svec(A_j - P'(M; A_j)), with dec the decomposition of M
-    mats = inst.map.matrices()
-    return np.vstack([svec(mats - _dir_deriv_from_dec(dec, mats)).T, inst.b])
+    # svec(A_j - P'(M; A_j)), with dec the decomposition of M, filled here a
+    # block of constraint matrices at a time
+    J = np.empty((tri_len(inst.n) + 1, inst.m))
+    for i, block in inst.map._matrix_blocks():
+        J[:-1, i : i + len(block)] = svec(block - _dir_deriv_from_dec(dec, block)).T
+    J[-1] = inst.b
+    return J
 
 
 def _polish_step(

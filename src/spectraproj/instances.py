@@ -19,7 +19,16 @@ import numpy as np
 import scipy.linalg
 
 from .model import BapInstance, LinearMap, _row_rank, load_instance, preprocess_surjective
-from .symcore import BLOCK_DOUBLES, diag_positions, svec, tri_len
+from .ssnewton import NewtonStatus, newton_solve
+from .symcore import (
+    BLOCK_DOUBLES,
+    SQRT2,
+    _smat_gather,
+    diag_positions,
+    smat,
+    svec,
+    tri_len,
+)
 
 FAMILIES = (
     "Elliptope",
@@ -323,14 +332,20 @@ def _idx(i: int, c: int, n: int) -> int:
     return 1 + c * n + i
 
 
-def _esym(p: int, q: int, N: int) -> np.ndarray:
-    E = np.zeros((N, N))
-    if p == q:
-        E[p, p] = 1.0
-    else:
-        E[p, q] = 0.5
-        E[q, p] = 0.5
-    return E
+def _put_esym(row: np.ndarray, pos: np.ndarray, p: int, q: int) -> None:
+    # write svec(E_pq), E_pq = (e_p e_q' + e_q e_p') / 2, into a zero svec row
+    # at svec position pos[p, q]: 1 on the diagonal, sqrt(2) * 0.5 off it, as
+    # svec scales the dense form
+    row[pos[p, q]] = 1.0 if p == q else 0.5 * SQRT2
+
+
+def _esym_rows(pairs: list[tuple[int, int]], N: int, m: int) -> np.ndarray:
+    """(m, tri_len(N)) rows, zero but for svec(E_pq) over ``pairs`` in the first ones."""
+    rows = np.zeros((m, tri_len(N)))
+    pos, _ = _smat_gather(N)
+    for row, (p, q) in zip(rows, pairs):
+        _put_esym(row, pos, p, q)
+    return rows
 
 
 def vontope_gangster_pairs(n: int) -> list[tuple[int, int]]:
@@ -394,23 +409,27 @@ def gen_vontope(
     pairs = [(0, 0)] + vontope_gangster_pairs(n)
 
     if not post_fr:
-        mats = [_esym(p, q, N) for p, q in pairs]
-        b_list = [1.0] + [0.0] * (len(pairs) - 1)
         # sum_c Y[(i,c),(j,c)] = (XX')_ij, then sum_i Y[(i,c1),(i,c2)] = (X'X)_c1c2
-        for idx in (lambda a, c: _idx(a, c, n), lambda a, c: _idx(c, a, n)):
-            for a1 in range(n):
-                for a2 in range(a1, n):
-                    M = np.zeros((N, N))
-                    for c in range(n):
-                        M += _esym(idx(a1, c), idx(a2, c), N)
-                    mats.append(M)
-                    b_list.append(1.0 if a1 == a2 else 0.0)
-        for p in range(1, N):
-            M = _esym(0, p, N)
-            M[p, p] -= 1.0
-            mats.append(M)
+        sums = [
+            (idx, a1, a2)
+            for idx in (lambda a, c: _idx(a, c, n), lambda a, c: _idx(c, a, n))
+            for a1 in range(n)
+            for a2 in range(a1, n)
+        ]
+        # corner and gangster rows, block sums, then one arrow row per p >= 1;
+        # every row is a few svec entries, written straight into the rows
+        rows = _esym_rows(pairs, N, len(pairs) + len(sums) + N - 1)
+        pos, _ = _smat_gather(N)
+        b_list = [1.0] + [0.0] * (len(pairs) - 1)
+        for row, (idx, a1, a2) in zip(rows[len(pairs):], sums):
+            for c in range(n):
+                _put_esym(row, pos, idx(a1, c), idx(a2, c))
+            b_list.append(1.0 if a1 == a2 else 0.0)
+        for row, p in zip(rows[len(pairs) + len(sums):], range(1, N)):
+            _put_esym(row, pos, 0, p)
+            row[pos[p, p]] = -1.0
             b_list.append(0.0)
-        raw_map = LinearMap.from_matrices(mats)
+        raw_map = LinearMap(n=N, rows=rows)
         amap, b, removed = preprocess_surjective(raw_map, np.array(b_list))
 
         def vertex() -> np.ndarray:
@@ -430,7 +449,8 @@ def gen_vontope(
         raise RuntimeError("null-space basis has unexpected shape")
     drop_blocks = {(c, n - 1) for c in range(n - 1)} | {(n - 3, n - 2)}
     kept = [(p, q) for p, q in pairs if ((p - 1) // n, (q - 1) // n) not in drop_blocks]
-    amap = LinearMap.from_matrices([_esym(p, q, N) for p, q in kept]).restrict(vhat)
+    # restrict streams the rows a block of dense matrices at a time
+    amap = LinearMap(n=N, rows=_esym_rows(kept, N, len(kept))).restrict(vhat)
     expected_m = n**3 - 2 * n**2 + 1
     if amap.m != expected_m:
         raise RuntimeError(f"reduced row count {amap.m}, expected {expected_m}")
@@ -474,6 +494,35 @@ def gen_dual_unattained(n: int = 2, seed: int = 0) -> BapInstance:
     return BapInstance(
         map=LinearMap.from_matrices([A1]), b=np.zeros(1), W=W, meta=meta
     )
+
+
+def known_nearest_point(inst: BapInstance) -> np.ndarray:
+    """The exact nearest point X* of an instance whose generator planted it.
+
+    A stored ``meta["planted"]["x_star"]`` (Sd2Chain, DualGapFace,
+    DualUnattained) is returned as a matrix.  Every feasible point of a
+    PlantedNoSlater instance is V0 R V0' with V0 = ``meta["planted"]["v0"]``
+    orthonormal, and ||V0 R V0' - W||^2 = ||R - V0' W V0||^2 + const, so
+    X* = V0 R* V0' with R* the nearest point of the problem on that face:
+    the rows svec(V0' A_i V0) less the dependent ones
+    (:func:`preprocess_surjective`), and the anchor V0' W V0.  Slater holds
+    there (the planted X-hat is V0 R-hat V0' with R-hat positive definite),
+    so one Newton solve gives R*; a solve that does not end ``Solved``
+    raises ``RuntimeError``.  Any other instance raises ``ValueError``.
+    """
+    planted = inst.meta.get("planted", {})
+    if "x_star" in planted:
+        return smat(np.asarray(planted["x_star"], dtype=float))
+    if "v0" not in planted:
+        raise ValueError(
+            f"family {inst.meta.get('family')!r} plants no face and stores no x_star"
+        )
+    V0 = np.asarray(planted["v0"], dtype=float)
+    amap, b, _ = preprocess_surjective(inst.map.restrict(V0), inst.b)
+    trace = newton_solve(BapInstance(map=amap, b=b, W=V0.T @ inst.W @ V0))
+    if trace.status != NewtonStatus.SOLVED:
+        raise RuntimeError(f"the solve on the planted face ended {trace.status.value}")
+    return V0 @ trace.triple.X @ V0.T
 
 
 # Benchmark-suite configuration for the no-Slater percentage tables.  The flag

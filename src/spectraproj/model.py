@@ -11,12 +11,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 import scipy.linalg
 
-from .symcore import diag_positions, project_face, project_psd, smat, svec, tri_len
+from .symcore import (
+    BLOCK_DOUBLES,
+    diag_positions,
+    project_face,
+    project_psd,
+    smat,
+    svec,
+    tri_len,
+)
 
 
 class InfeasibleManifoldError(Exception):
@@ -27,9 +35,13 @@ class InfeasibleManifoldError(Exception):
 class LinearMap:
     """Linear map from symmetric order-n matrices to R^m, stored as svec rows.
 
-    The map owns ``rows`` and makes it read-only, so the matrix stack that
-    :meth:`matrices` builds from it once, :attr:`gram` and
-    :attr:`diagonal_rows` stay valid for the map's lifetime.
+    The map owns ``rows`` and makes it read-only, so :attr:`gram` and
+    :attr:`diagonal_rows` stay valid for the map's lifetime.  The rows are
+    the only copy of the constraints that the map keeps: the library reads
+    the dense matrices A_i a block of :data:`~.symcore.BLOCK_DOUBLES` doubles
+    at a time (:meth:`_matrix_blocks`), so no consumer holds more than one
+    block of them.  :meth:`matrices` still builds and caches the whole
+    (m, n, n) stack for a caller that asks for it.
     """
 
     n: int
@@ -64,6 +76,30 @@ class LinearMap:
             self._mats.flags.writeable = False
         return self._mats
 
+    def _matrix_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, block)`` pairs; ``block`` is A_start, A_start+1, ... as (k, n, n).
+
+        Each block holds k = max(1, BLOCK_DOUBLES // n^2) rows, the last one
+        fewer.  When the whole stack fits in one block, or :meth:`matrices`
+        has already cached it, the blocks are read-only slices of that
+        stack.  Otherwise each is the ``smat`` of its rows, written into one
+        buffer that the next block overwrites, so a caller finishes with a
+        block before it draws the next and never holds two.  Either way every
+        A_i has the same bytes, so a product taken matrix by matrix does not
+        depend on the blocking.
+        """
+        m, n = self.m, self.n
+        k = max(1, BLOCK_DOUBLES // max(1, n * n))
+        if self._mats is not None or m * n * n <= BLOCK_DOUBLES:
+            mats = self.matrices()
+            for start in range(0, m, k):
+                yield start, mats[start : start + k]
+        else:
+            buf = np.empty((k, n, n))
+            for start in range(0, m, k):
+                rows = self.rows[start : start + k]
+                yield start, smat(rows, out=buf[: len(rows)])
+
     @cached_property
     def diagonal_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(k, beta)`` when every row i is beta_i e_k e_k' with k = k[i], else None.
@@ -87,8 +123,17 @@ class LinearMap:
         return G
 
     def restrict(self, Q: np.ndarray) -> LinearMap:
-        """The map restricted to the face range of an (n, k) ``Q``: rows svec(Q' A_i Q)."""
-        return LinearMap(n=Q.shape[1], rows=svec(Q.T @ self.matrices() @ Q))
+        """The map restricted to the face range of an (n, r) ``Q``: rows svec(Q' A_i Q).
+
+        The (m, tri_len(r)) rows are filled a block of constraint matrices at
+        a time (:meth:`_matrix_blocks`), so the peak is the new rows plus
+        one block and its products, whatever m is.
+        """
+        r = Q.shape[1]
+        rows = np.empty((self.m, tri_len(r)))
+        for start, block in self._matrix_blocks():
+            rows[start : start + len(block)] = svec(Q.T @ block @ Q)
+        return LinearMap(n=r, rows=rows)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """A(X), the vector of inner products <A_i, X>.

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import BapInstance, KktTriple, LinearMap
-from .symcore import BLOCK_DOUBLES, SpectralDecomp, eig_sym, project_psd
+from .symcore import SpectralDecomp, eig_sym, project_psd
 
 __all__ = [
     "NewtonOptions",
@@ -113,7 +113,7 @@ def _diagonal_newton_matrix(
 
 
 def _leading_gram_factor(
-    mats: np.ndarray, V: np.ndarray, lam: np.ndarray, s: int
+    amap: LinearMap, V: np.ndarray, lam: np.ndarray, s: int
 ) -> np.ndarray:
     """K (m, n*s) whose Gram K K' weights the leading s columns of each V' A_i V.
 
@@ -121,20 +121,21 @@ def _leading_gram_factor(
     its first ``s`` entries lie above the rest.  Row i of K holds G_i[:s, :s]
     and then sqrt(2 omega) o G_i[s:, :s], with G_i = V' A_i V and the omega
     weights of :func:`_weights`, so (K K')_ij sums the leading s-by-s block
-    once and the mixed block twice.  Only the s columns are formed, a block
-    of rows at a time: C = A_i V_s by one GEMM on the block's (rows*n, n)
-    view of the stack, then V' C by a batched product written straight into
-    the factor.  C is one buffer of :data:`BLOCK_DOUBLES` doubles at most
-    (one row's n*s where that is larger), so the peak is the factor plus one
-    block, and each row's products are those of one GEMM over the stack.
+    once and the mixed block twice.  Only the s columns are formed, one block
+    B of constraint matrices at a time (:meth:`LinearMap._matrix_blocks`):
+    C = B V_s by one GEMM on the block's (k*n, n) view, then V' C by a
+    batched product written straight into the factor.  B and C each hold at
+    most :data:`.symcore.BLOCK_DOUBLES` doubles (one row's n^2 where that is
+    larger), so the peak is the factor plus two blocks, and each row's
+    products are those of one GEMM over the whole stack.
     """
-    m, n = mats.shape[:2]
+    m, n = amap.m, amap.n
     G = np.empty((m, n, s))
-    step = max(1, BLOCK_DOUBLES // (n * s))
-    C = np.empty((min(step, m), n, s))
-    for i in range(0, m, step):
-        block = mats[i : i + step]
+    C = None
+    for i, block in amap._matrix_blocks():
         k = block.shape[0]
+        if C is None:  # the first block is the largest
+            C = np.empty((k, n, s))
         np.matmul(block.reshape(k * n, n), V[:, :s], out=C[:k].reshape(k * n, s))
         np.matmul(V.T, C[:k], out=G[i : i + k])
     G[:, s:] *= np.sqrt(2.0 * _weights(lam, s, 0)[s:, :s])
@@ -178,10 +179,10 @@ def _jacobian_from_dec(amap: LinearMap, dec: SpectralDecomp) -> np.ndarray:
         k, beta = amap.diagonal_rows
         return _diagonal_newton_matrix(dec.U[k], beta, dec.lam, p)
     if p <= n - p:
-        K = _leading_gram_factor(amap.matrices(), dec.U, dec.lam, p)
+        K = _leading_gram_factor(amap, dec.U, dec.lam, p)
         J = K @ K.T
     else:
-        K = _leading_gram_factor(amap.matrices(), dec.U[:, ::-1], -dec.lam[::-1], n - p)
+        K = _leading_gram_factor(amap, dec.U[:, ::-1], -dec.lam[::-1], n - p)
         J = amap.gram - K @ K.T
     return 0.5 * (J + J.T)
 

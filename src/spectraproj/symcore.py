@@ -100,16 +100,22 @@ def _smat_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, div
 
 
-def smat(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`svec`: ``(..., t)`` half-vectors to ``(..., n, n)`` matrices."""
+def smat(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`svec`: ``(..., t)`` half-vectors to ``(..., n, n)`` matrices.
+
+    ``out``, when given, is a C-ordered float array of the result's shape;
+    the matrices are written into it and it is returned.
+    """
     v = np.asarray(v, dtype=float)
     if v.ndim < 1:
         raise ValueError("expected a vector or a stack of vectors")
     pos, div = _smat_gather(tri_order(v.shape[-1]))
     # take, since fancy indexing a stack returns a transposed (non C-order)
     # layout; then divide in place, since a product with 1/sqrt(2) rounds
-    # differently, and dividing after the gather needs no copy of v
-    M = np.take(v, pos, axis=-1)
+    # differently, and dividing after the gather needs no copy of v.  Every
+    # position is in range, so mode="clip" clips nothing; unlike the default
+    # "raise" it lets take write into ``out`` without a buffered copy
+    M = np.take(v, pos, axis=-1, out=out, mode="clip")
     M /= div
     return M
 

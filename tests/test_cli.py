@@ -304,6 +304,27 @@ def test_infeasible_exit_code(tmp_path, capsys):
     assert code == EXIT_INFEASIBLE
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="an empty spectrahedron exits 0: no certificate search looks for "
+    "infeasibility that only the cone causes (ROADMAP item 11)",
+)
+@pytest.mark.parametrize("command", ["fr", "pipeline"])
+def test_empty_spectrahedron_exits_infeasible(tmp_path, command):
+    # {X psd : X_11 = -1} is empty, though its linear manifold is not; y = -1
+    # proves it: A*(y) = -E_11 is negative semidefinite and <b, y> = 1 > 0.
+    # Today fr prints sd_hat=0 final_n=2 and pipeline status=IterLimit
+    # pf=5.000e-01, and both exit 0
+    E11 = np.zeros((2, 2))
+    E11[0, 0] = 1.0
+    inst = BapInstance(map=LinearMap.from_matrices([E11]), b=np.array([-1.0]), W=np.eye(2))
+    src = tmp_path / "empty.json"
+    save_instance(inst, str(src))
+    code = _run(command, "--instance", str(src), "--out", str(tmp_path / "o"))
+    assert code == EXIT_INFEASIBLE
+
+
 def test_solve_drops_consistent_duplicate_rows(tmp_path, capsys):
     E11 = np.zeros((3, 3))
     E11[0, 0] = 1.0

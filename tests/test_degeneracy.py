@@ -3,6 +3,7 @@ import pytest
 
 from spectraproj.degeneracy import (
     RANK_TOL,
+    _build_L_split,
     build_L,
     is_nondegenerate,
     jacobian_degeneracy_crosscheck,
@@ -159,3 +160,27 @@ def test_zero_instance_edge():
     rep = is_nondegenerate(inst, np.zeros((1, 1)))
     assert rep.rank_X == 0
     assert rep.verdict == "Degenerate"
+
+
+def _whole_stack_L(inst, V, Vbar):
+    mats = smat(inst.map.rows)
+    top = svec(V.T @ mats @ V)
+    mid = np.sqrt(2.0) * (V.T @ mats @ Vbar).reshape(inst.m, V.shape[1] * Vbar.shape[1])
+    return np.hstack([top, mid]).T
+
+
+@pytest.mark.parametrize("m, r", [(150, 20), (150, 0), (150, 60), (0, 20)])
+def test_streamed_L_is_bitwise_the_whole_stack_one(m, r):
+    # m * n^2 is above one block at m = 150 (blocks of 72 rows, the last of 6)
+    n = 60
+    rng = np.random.default_rng(m + r)
+    amap = LinearMap(n=n, rows=rng.standard_normal((m, tri_len(n))))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    X = (Q[:, :r] * np.linspace(2.0, 1.0, r)) @ Q[:, :r].T
+    inst = BapInstance(map=amap, b=amap.apply(X), W=np.eye(n))
+    L, V, Vbar = _build_L_split(inst, X)
+    assert V.shape == (n, r)
+    expected = _whole_stack_L(inst, V, Vbar)
+    assert L.shape == expected.shape == (tri_len(r) + r * (n - r), m)
+    assert L.T.flags.c_contiguous and L.tobytes() == expected.tobytes()
+    assert (amap._mats is None) == (m > 0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,13 +20,21 @@ from spectraproj.instances import (
     gen_random_slater,
     gen_vontope,
     generate,
+    known_nearest_point,
     load_fixture,
     noslater_suite_instance,
     vontope_gangster_pairs,
     vontope_lift_vertex,
     vontope_null_basis,
 )
-from spectraproj.model import dumps_json, instance_to_dict, kkt_residuals, KktTriple
+from spectraproj.model import (
+    KktTriple,
+    LinearMap,
+    dumps_json,
+    instance_to_dict,
+    kkt_residuals,
+    preprocess_surjective,
+)
 from spectraproj.symcore import BLOCK_DOUBLES, smat, svec, tri_len
 
 
@@ -215,6 +225,75 @@ def test_vontope_post_is_pre_restricted_to_its_face(n):
         assert np.abs(coef.T @ src_b - dst_b).max() <= 1e-12
 
 
+def _dense_vontope(n, post_fr):
+    """Rows and b of ``gen_vontope`` built as dense order-N matrices and svec'd whole."""
+    N = n * n + 1
+
+    def idx(i, c):
+        return 1 + c * n + i
+
+    def esym(p, q):
+        E = np.zeros((N, N))
+        if p == q:
+            E[p, p] = 1.0
+        else:
+            E[p, q] = E[q, p] = 0.5
+        return E
+
+    pairs = [(0, 0)] + vontope_gangster_pairs(n)
+    if post_fr:
+        drop = {(c, n - 1) for c in range(n - 1)} | {(n - 3, n - 2)}
+        kept = [(p, q) for p, q in pairs if ((p - 1) // n, (q - 1) // n) not in drop]
+        vhat = vontope_null_basis(n)
+        mats = np.array([esym(p, q) for p, q in kept])
+        b = np.zeros(len(kept))
+        b[0] = 1.0
+        return svec(vhat.T @ mats @ vhat), b, None
+    mats = [esym(p, q) for p, q in pairs]
+    b = [1.0] + [0.0] * (len(pairs) - 1)
+    for ix in (idx, lambda a, c: idx(c, a)):
+        for a1 in range(n):
+            for a2 in range(a1, n):
+                M = np.zeros((N, N))
+                for c in range(n):
+                    M += esym(ix(a1, c), ix(a2, c))
+                mats.append(M)
+                b.append(1.0 if a1 == a2 else 0.0)
+    for p in range(1, N):
+        M = esym(0, p)
+        M[p, p] -= 1.0
+        mats.append(M)
+        b.append(0.0)
+    raw = LinearMap.from_matrices(mats)
+    amap, b, removed = preprocess_surjective(raw, np.array(b))
+    return amap.rows, b, (raw.m, len(removed))
+
+
+@pytest.mark.parametrize("post_fr", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_vontope_rows_are_bitwise_the_dense_construction(n, post_fr):
+    inst = gen_vontope(n, post_fr=post_fr)
+    rows, b, counts = _dense_vontope(n, post_fr)
+    assert inst.map.rows.shape == rows.shape
+    assert inst.map.rows.tobytes() == rows.tobytes()
+    assert inst.b.tobytes() == b.tobytes()
+    if counts is not None:
+        assert (inst.meta["m_raw"], inst.meta["rows_removed_at_gen"]) == counts
+
+
+def test_vontope_post_generation_holds_one_block_of_dense_matrices():
+    # n=10 (m=801): the svec rows before and after the restriction are 33 and
+    # 22 MB; the dense stack of the rows before it alone would be 65 MB
+    tracemalloc.start()
+    try:
+        inst = gen_vontope(10, post_fr=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.m == 801
+    assert peak <= 80e6
+
+
 ANCHOR_FAMILIES = {
     # family: (generator of one w_mode, whether it has a rank-one vertex)
     "Elliptope": (lambda w: gen_elliptope(6, seed=1, w_mode=w), True),
@@ -331,3 +410,20 @@ def test_fixture_checksum_guard(tmp_path, monkeypatch):
 def test_fixture_name_guard():
     with pytest.raises(ValueError):
         fixture_path("nope.json")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nearest_point_on_the_planted_face_is_the_planted_root(seed):
+    # with plant_root, X-hat is the nearest point; X* comes from one solve on
+    # the face V0 and never sees the no-Slater formulation
+    inst = noslater_suite_instance(10, seed)
+    Xhat = smat(np.asarray(inst.meta["planted"]["xhat"]))
+    assert np.linalg.norm(known_nearest_point(inst) - Xhat) <= 1e-10 * np.linalg.norm(Xhat)
+
+
+def test_nearest_point_of_a_fixture_is_its_stored_answer():
+    for inst in (fixture_sd2_chain(), fixture_dual_gap_face(), load_fixture("sd2_chain.json")):
+        X = known_nearest_point(inst)
+        assert np.array_equal(X, smat(np.asarray(inst.meta["planted"]["x_star"])))
+    with pytest.raises(ValueError, match="RandomSlater"):
+        known_nearest_point(gen_random_slater(6, 8, seed=0))

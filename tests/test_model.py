@@ -25,7 +25,7 @@ from spectraproj.model import (
     save_instance,
 )
 from spectraproj.ssnewton import newton_solve
-from spectraproj.symcore import smat, svec, tri_len
+from spectraproj.symcore import BLOCK_DOUBLES, smat, svec, tri_len
 
 
 def _rand_map(n, m, rng):
@@ -378,6 +378,47 @@ def test_restrict_is_the_congruence_of_every_constraint():
     red = amap.restrict(Q)
     assert (red.n, red.m) == (3, 4)
     assert np.array_equal(red.rows, svec(Q.T @ smat(amap.rows) @ Q))
+
+
+def _streamed_map(m, n=60):
+    # m * n^2 above BLOCK_DOUBLES once m > 72, so the map streams its stack
+    rows = np.random.default_rng(m).standard_normal((m, tri_len(n)))
+    return LinearMap(n=n, rows=rows)
+
+
+def test_matrix_blocks_cover_the_rows_one_block_at_a_time():
+    amap = _streamed_map(150)
+    k = BLOCK_DOUBLES // 60**2
+    spans = []
+    for start, block in amap._matrix_blocks():
+        assert block.shape[1:] == (60, 60) and block.size <= BLOCK_DOUBLES
+        assert block.tobytes() == smat(amap.rows[start : start + len(block)]).tobytes()
+        spans.append((start, len(block)))
+    assert spans == [(0, k), (k, k), (2 * k, 150 - 2 * k)]
+    assert amap._mats is None
+    # once a caller has cached the stack, the blocks are slices of it
+    mats = amap.matrices()
+    assert all(np.shares_memory(block, mats) for _, block in amap._matrix_blocks())
+    # a stack that fits in one block is built, cached and handed out whole
+    small = _rand_map(5, 4, np.random.default_rng(14))
+    [(start, block)] = small._matrix_blocks()
+    assert start == 0 and block.shape == (4, 5, 5)
+    assert np.shares_memory(block, small._mats)
+    assert list(_streamed_map(0)._matrix_blocks()) == []
+
+
+@pytest.mark.parametrize("m, r", [(150, 20), (150, 0), (150, 60), (0, 20)])
+def test_streamed_restrict_is_bitwise_the_whole_stack_congruence(m, r):
+    amap = _streamed_map(m)
+    # a column slice of an orthogonal matrix, as the face bases are
+    U, _ = np.linalg.qr(np.random.default_rng(r).standard_normal((60, 60)))
+    Q = U[:, :r]
+    red = amap.restrict(Q)
+    expected = svec(Q.T @ smat(amap.rows) @ Q)
+    assert (red.n, red.rows.shape) == (r, expected.shape)
+    assert red.rows.tobytes() == expected.tobytes()
+    # an empty stack fits in one block, so only m = 0 caches one
+    assert (amap._mats is None) == (m > 0)
 
 
 def test_empty_map_preprocess():

@@ -336,6 +336,31 @@ def test_gram_factor_peak_is_the_factor_plus_one_block():
     assert peak <= factor + BLOCK_DOUBLES * 8 + 2**20
 
 
+def test_newton_solve_streams_the_stack_one_block_at_a_time(monkeypatch):
+    # n=100, m=200: the stack would be 16 MB; the map keeps only its rows
+    n, m = 100, 200
+    inst = gen_random_slater(n, m, seed=0)
+    rows_per_smat = []
+
+    def recording_smat(v, out=None):
+        rows_per_smat.append(len(v) if np.ndim(v) == 2 else 1)
+        return smat(v, out=out)
+
+    monkeypatch.setattr(model, "smat", recording_smat)
+    tracemalloc.start()
+    try:
+        trace = newton_solve(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.status == NewtonStatus.SOLVED
+    assert max(rows_per_smat) == BLOCK_DOUBLES // n**2
+    assert inst.map._mats is None
+    # the largest factor, at s = min(p, n - p) = n/2, and the blocks B and C
+    factor = m * n * (n // 2) * 8
+    assert peak <= factor + 2 * BLOCK_DOUBLES * 8 + 2**20
+
+
 def _one_shot_gram_factor(mats, V, lam, s):
     m, n = mats.shape[:2]
     C = (mats.reshape(m * n, n) @ V[:, :s]).reshape(m, n, s)
@@ -350,14 +375,15 @@ def test_blocked_gram_factor_is_bitwise_the_one_shot_factor(p):
     amap = gen_random_slater(n, m, seed=2).map
     lam = np.concatenate([np.linspace(3.0, 0.5, p), np.linspace(-0.5, -2.0, n - p)])
     dec = _point_with_spectrum(lam, np.random.default_rng(1))
-    mats = amap.matrices()
+    mats = smat(amap.rows)  # a test-local whole stack; the map keeps none
     if p <= n - p:
         V, w, s = dec.U, dec.lam, p
     else:
         V, w, s = dec.U[:, ::-1], -dec.lam[::-1], n - p
-    step = BLOCK_DOUBLES // (n * s)
+    step = BLOCK_DOUBLES // (n * n)
     assert m > step and m % step
-    K = _leading_gram_factor(mats, V, w, s)
+    K = _leading_gram_factor(amap, V, w, s)
+    assert amap._mats is None
     assert K.tobytes() == _one_shot_gram_factor(mats, V, w, s).tobytes()
 
 
