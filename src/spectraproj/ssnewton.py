@@ -214,9 +214,12 @@ class NewtonStatus(enum.Enum):
 class NewtonOptions:
     """Knobs for :func:`newton_solve`.
 
-    The defaults match the reference protocol wherever ||A||^2 >= 1 + ||b||;
-    below that the solver scales its regularization down to the units of
-    the Newton matrix (see :func:`newton_solve`).
+    The stop rule is the reference protocol's.  Its step regularization is
+    not: the reference protocol takes 0.2*||F||, in the units of b, and the
+    solver takes 0.2 * min(1, ||A||^2) * relres (see :func:`newton_solve`).
+    Where ||A||^2 <= 1 and ||F|| <= 1 + ||b|| that is 0.2*||A||^2*||F|| /
+    (1 + ||b||).  The reference rule is reproduced by replacing
+    :func:`_lm_parameter`, not by an option.
     """
 
     eps_final: float = 1e-13
@@ -260,25 +263,37 @@ class NewtonTrace:
 
 
 def _reg_scale(amap: LinearMap, b_scale: float) -> float:
-    """rho = min(1, ||A||^2 / b_scale): the units of J over those of F.
+    """rho = min(1, ||A||^2) / b_scale: what turns ||F|| into the step's units.
 
     ``b_scale`` is 1 + ||b||.  ||A||^2 = lambda_max(A A*) bounds the Newton
     matrix, since 0 <= P' <= I gives J <= A A*.  On an all-diagonal map A A*
     is block diagonal over the rows that share one k, each block rank one,
     so ||A||^2 is the largest sum of beta_i^2 over a k, read in O(m).  On
-    every other map ||A||^2 >= max_i ||A_i||^2, so rho is exactly 1 when that
-    reaches b_scale; only below it is the cached Gram matrix decomposed.
+    every other map ||A||^2 >= max_i ||A_i||^2, so min(1, ||A||^2) is exactly
+    1 when that reaches 1; only below it is the cached Gram matrix decomposed.
+    A map without rows has ||A|| = 0.
     """
     if amap.m == 0:
-        return 1.0
+        return 0.0
     if amap.diagonal_rows is not None:
         k, beta = amap.diagonal_rows
         sigma = np.bincount(k, weights=beta * beta).max()
-    elif np.einsum("ij,ij->i", amap.rows, amap.rows).max() >= b_scale:
-        return 1.0
+    elif np.einsum("ij,ij->i", amap.rows, amap.rows).max() >= 1.0:
+        return 1.0 / b_scale
     else:
         sigma = np.linalg.eigvalsh(amap.gram)[-1]
-    return min(1.0, float(sigma) / b_scale)
+    return min(1.0, float(sigma)) / b_scale
+
+
+def _lm_parameter(rho: float, normF: float, b_scale: float) -> float:
+    """The regularization of one Newton step: 0.2 * rho * min(||F||, b_scale).
+
+    With rho from :func:`_reg_scale` that is 0.2 * min(1, ||A||^2) * relres,
+    the clamped relres the stop rule reads: proportional to the residual,
+    capped, and in the units of J (Fan & Yuan 2005; SDPNAL's
+    tau1 * min(tau2, ||grad||), Zhao, Sun & Toh 2010).  Floored at 1e-14.
+    """
+    return max(0.2 * rho * min(normF, b_scale), 1e-14)
 
 
 def _digits_lost(cond: float) -> int:
@@ -301,6 +316,25 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
+def _newton_step(J: np.ndarray, F: np.ndarray, reg: float, eye: np.ndarray) -> np.ndarray:
+    """d solving (J + reg*I) d = -F by Cholesky, escalating reg tenfold on failure.
+
+    After 40 failed factorizations it falls back to least squares.  The
+    shifted matrix and its factor die with the call.
+    """
+    _check_finite(F)
+    for _ in range(40):
+        A = J + reg * eye
+        _check_finite(A)
+        try:
+            cf = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+            return scipy.linalg.cho_solve(cf, -F, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            reg *= 10.0
+    d, *_ = np.linalg.lstsq(J + reg * eye, -F, rcond=None)
+    return d
+
+
 def newton_solve(
     inst: BapInstance,
     y0: np.ndarray | None = None,
@@ -310,16 +344,21 @@ def newton_solve(
 
     One eigendecomposition per iteration feeds the residual, the Newton matrix
     and its spectrum.  The step solves (J + lam*I) d = -F by Cholesky with
-    lam = 0.2*rho*||F|| (floored at 1e-14), escalating lam tenfold if the
-    factorization fails and falling back to least squares as a last resort.
-    ||F|| is in the units of b and J in those of ||A||^2, and
-    rho = min(1, ||A||^2 / (1 + ||b||)), computed once per solve, converts
-    the one to the other (Fan & Yuan 2005 set the Levenberg-Marquardt
-    parameter from ||F|| in the problem's own scale).  Where
-    ||A||^2 >= 1 + ||b||, rho is exactly 1 and lam is 0.2*||F|| to the bit;
-    on the elliptope rho = 1/(1 + sqrt(n)).
+    lam = 0.2 * min(1, ||A||^2) * relres (floored at 1e-14), escalating lam
+    tenfold if the factorization fails and falling back to least squares as
+    a last resort.  relres is the clamped min(1, ||F|| / (1 + ||b||)) that
+    the stop rule reads, so lam shrinks with the relative residual whatever
+    the units of b, and min(1, ||A||^2) bounds it by the Newton matrix, since
+    J <= A A*.  rho = min(1, ||A||^2) / (1 + ||b||) is computed once per
+    solve (:func:`_reg_scale`), and lam = 0.2 * rho * min(||F||, 1 + ||b||)
+    (:func:`_lm_parameter`).  On the elliptope rho = 1/(1 + sqrt(n)).  The
+    Levenberg-Marquardt parameter proportional to the residual and capped
+    is Fan & Yuan's (2005) and SDPNAL's (Zhao, Sun & Toh 2010); the
+    reference protocol's 0.2*||F|| damps a stalled iterate's near-null
+    directions by the absolute units of b.
     No line search; a step-norm cap of 1e8 guards against overflow on
-    divergent dual sequences.
+    divergent dual sequences.  The previous iteration's Newton matrix, its
+    shifted copy and its factor are released before the next one is built.
 
     Stopping, checked in this order at each iterate k:
 
@@ -381,20 +420,8 @@ def newton_solve(
             status = NewtonStatus.ITER_LIMIT
             break
 
-        reg = max(0.2 * rho * normF, 1e-14)
-        _check_finite(F)
-        d = None
-        for _ in range(40):
-            A = J + reg * eye
-            _check_finite(A)
-            try:
-                cf = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-                d = scipy.linalg.cho_solve(cf, -F, check_finite=False)
-                break
-            except scipy.linalg.LinAlgError:
-                reg *= 10.0
-        if d is None:
-            d, *_ = np.linalg.lstsq(J + reg * eye, -F, rcond=None)
+        d = _newton_step(J, F, _lm_parameter(rho, normF, b_scale), eye)
+        J = None  # free before the next assembly; the trace takes J from the break
         nd = float(np.linalg.norm(d))
         if nd > 1e8:
             d *= 1e8 / nd

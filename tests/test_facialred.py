@@ -437,6 +437,19 @@ def test_reduction_ends_at_the_true_nearest_point(seed):
     assert np.linalg.norm(res.X - Xstar) <= 1e-8 * np.linalg.norm(Xstar)
 
 
+@pytest.mark.parametrize("seed", [2010, 2021])
+def test_reduction_ends_on_the_planted_face_of_the_pool_instances_it_reaches(seed):
+    # the two noslater_repair pool instances whose last face is the planted
+    # one, of order 24; with the reference 0.2*||F|| step, stopping round 0
+    # anywhere from k = 40 to 210 sends 2021 to an order-23 face 0.21 from X*
+    inst = gen_planted_noslater(30, 40, sd_target=2, iips_target=3, support_size=5, seed=seed)
+    Xstar = known_nearest_point(inst)
+    res = solve_with_reduction(inst)
+    assert res.rounds[-1].trace.status == NewtonStatus.SOLVED
+    assert res.rounds[-1].inst.n == 24
+    assert np.linalg.norm(res.X - Xstar) <= 1e-7 * np.linalg.norm(Xstar)
+
+
 def _polish_without_memo(inst, lam, rn, dec):
     # the three rank cuts as separate loops, every pass computed afresh
     best = (lam, rn, dec)

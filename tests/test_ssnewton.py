@@ -448,16 +448,19 @@ def test_elliptope_regularization_scale():
 
 
 def test_diagonal_regularization_scale_reads_only_the_diagonal(monkeypatch):
-    # rows sharing a k form one rank-one block of A A*: 1.7^2 + 0.5^2 at k = 5
+    # rows sharing a k form one rank-one block of A A*: 1.7^2 + 0.5^2 at k = 5,
+    # above 1, so min(1, ||A||^2) = 1; scaled by 1/2 the block reads 0.785
     def refuse(self):
         raise AssertionError("matrix stack built for an all-diagonal map")
 
     amap = _scrambled_diagonal_map(7)
+    half = LinearMap(n=7, rows=0.5 * amap.rows)
     monkeypatch.setattr(LinearMap, "matrices", refuse)
-    rho = ssnewton._reg_scale(amap, 10.0)
-    assert "gram" not in vars(amap)
-    assert rho == pytest.approx(np.linalg.eigvalsh(amap.gram)[-1] / 10.0, rel=1e-15)
-    assert rho == pytest.approx((1.7**2 + 0.5**2) / 10.0, rel=1e-15)
+    assert ssnewton._reg_scale(amap, 10.0) == 1.0 / 10.0
+    rho = ssnewton._reg_scale(half, 10.0)
+    assert "gram" not in vars(amap) and "gram" not in vars(half)
+    assert rho == pytest.approx(np.linalg.eigvalsh(half.gram)[-1] / 10.0, rel=1e-15)
+    assert rho == pytest.approx((1.7**2 + 0.5**2) / 4.0 / 10.0, rel=1e-15)
 
 
 def test_map_without_rows_solves_at_once():
@@ -471,41 +474,89 @@ def test_regularization_scale_of_a_dense_map():
     rows = gen_random_slater(6, 9, seed=2).map.rows
     amap = LinearMap(n=6, rows=rows)
     top = np.sum(rows**2, axis=1).max()
-    # a row of norm at least 1 + ||b|| decides rho = 1 without the Gram matrix
-    assert ssnewton._reg_scale(amap, 0.5 * top) == 1.0
+    assert top >= 1.0
+    # a row of norm at least 1 decides min(1, ||A||^2) = 1 without the Gram matrix
+    assert ssnewton._reg_scale(amap, 0.5 * top) == 1.0 / (0.5 * top)
     assert "gram" not in vars(amap)
     sigma = np.linalg.eigvalsh(rows @ rows.T)[-1]
-    assert ssnewton._reg_scale(amap, 2.0 * sigma) == pytest.approx(0.5, rel=1e-15)
+    assert ssnewton._reg_scale(amap, 2.0 * sigma) == 1.0 / (2.0 * sigma)
     assert ssnewton._reg_scale(LinearMap(n=6, rows=1e-3 * rows), 1.0) == pytest.approx(
         1e-6 * sigma, rel=1e-14
     )
 
 
+def _reference_lm_parameter(rho, normF, b_scale):
+    # the reference protocol's 0.2*||F||, which the solver took wherever
+    # ||A||^2 >= 1 + ||b|| before it regularized by the relative residual
+    return max(0.2 * normF, 1e-14)
+
+
+def test_relative_residual_regularization_keeps_the_small_map_rule():
+    # ||A||^2 <= 1 and ||F|| <= 1 + ||b||: 0.2 * (||A||^2 / (1 + ||b||)) * ||F||
+    inst = gen_elliptope(30, seed=2)
+    b_scale = 1.0 + np.linalg.norm(inst.b)
+    rho = ssnewton._reg_scale(inst.map, b_scale)
+    assert rho == min(1.0, 1.0 / b_scale)
+    for normF in (0.0, 1e-9, 0.3, b_scale):
+        assert ssnewton._lm_parameter(rho, normF, b_scale) == max(0.2 * rho * normF, 1e-14)
+    # above 1 + ||b|| the parameter stays at its relres = 1 value
+    assert ssnewton._lm_parameter(rho, 4.0 * b_scale, b_scale) == 0.2 * rho * b_scale
+
+
+def test_relative_residual_regularization_leaves_the_genuine_stall_early():
+    # the singularity_demo instance (test_03's), a genuine stall
+    inst = gen_planted_noslater(15, 7, sd_target=1, iips_target=1, support_size=5, seed=0)
+    trace = newton_solve(inst)
+    assert trace.status == NewtonStatus.SUSPECTED_DEGENERATE
+    assert trace.cond_final >= 1e10
+    assert trace.k_final <= 100
+
+
 @pytest.mark.parametrize(
-    "inst",
+    "inst, outcome",
     [
-        gen_random_slater(20, 30, seed=3),
-        gen_planted_noslater(15, 7, sd_target=1, iips_target=1, support_size=5, seed=0),
-        noslater_suite_instance(10, 0),
-        fixture_dual_gap_face(),
+        (gen_random_slater(20, 30, seed=3), ("Solved", 5, "2.5868e-15")),
+        (
+            gen_planted_noslater(15, 7, sd_target=1, iips_target=1, support_size=5, seed=0),
+            ("SuspectedDegenerate", 278, "4.7108e-07"),
+        ),
+        (noslater_suite_instance(10, 0), ("SuspectedDegenerate", 5, "6.1587e-08")),
+        (fixture_dual_gap_face(), ("IterLimit", 2000, "1.0428e-12")),
     ],
     ids=["RandomSlater20", "PlantedNoSlater15", "NoslaterSuite10", "DualGapFace"],
 )
-def test_regularization_scale_of_one_keeps_every_byte(inst, monkeypatch):
-    # ||A||^2 >= 1 + ||b|| on each (DualGapFace ties at 1), so rho is exactly 1
-    # and 0.2*rho*||F|| is the unscaled 0.2*||F||
-    scaled = newton_solve(inst)
-    monkeypatch.setattr(ssnewton, "_reg_scale", lambda amap, b_scale: 1.0)
-    plain = newton_solve(inst)
-    assert plain.status == scaled.status
-    assert len(plain.iterates) == len(scaled.iterates)
-    for a, b in zip(plain.iterates, scaled.iterates):
-        assert a.y.tobytes() == b.y.tobytes()
-        assert (a.relres, a.cond, a.lam_min_X) == (b.relres, b.cond, b.lam_min_X)
-        assert a.eig_J.tobytes() == b.eig_J.tobytes()
-    for name in ("X", "y", "Z"):
-        assert getattr(plain.triple, name).tobytes() == getattr(scaled.triple, name).tobytes()
-    assert plain.J.tobytes() == scaled.J.tobytes()
+def test_regularization_scale_of_one_keeps_every_byte(inst, outcome, monkeypatch):
+    # ||A||^2 >= 1 + ||b|| on each (DualGapFace ties at 1), where the solver
+    # stepped with the reference 0.2*||F|| before it regularized by the
+    # relative residual; patched back in, it keeps each of those outcomes
+    # (PlantedNoSlater15 is the singularity_demo before-row)
+    monkeypatch.setattr(ssnewton, "_lm_parameter", _reference_lm_parameter)
+    trace = newton_solve(inst)
+    assert (trace.status.value, trace.k_final, f"{trace.relres_final:.4e}") == outcome
+
+
+def test_newton_iteration_frees_the_last_step_before_the_next_assembly(monkeypatch):
+    # live bytes on entry to every Newton-matrix assembly: a later iteration
+    # holds no more than the first, besides the trace's few vectors of
+    # length m; keeping J, J + reg*I and its factor would add three m-by-m
+    inst = gen_random_slater(60, 120, seed=1)
+    m = inst.m
+    live = []
+    factor = ssnewton._leading_gram_factor
+
+    def recording(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return factor(*args)
+
+    monkeypatch.setattr(ssnewton, "_leading_gram_factor", recording)
+    tracemalloc.start()
+    try:
+        trace = newton_solve(inst)
+    finally:
+        tracemalloc.stop()
+    assert trace.status == NewtonStatus.SOLVED
+    assert len(live) == len(trace.iterates) >= 3
+    assert max(live[1:]) - live[0] < m * m * 8 // 4
 
 
 def test_jacobian_is_psd_along_the_iteration():
