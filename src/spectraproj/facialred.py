@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .model import BapInstance, preprocess_surjective, residual_F_face
+from .model import BapInstance, residual_F_face
 from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, newton_solve
 from .ssnewton import _dir_deriv_from_dec
 from .symcore import SpectralDecomp, eig_sym, svec, tri_len
@@ -329,10 +329,7 @@ def fr_step(inst: BapInstance, cert: AuxCertificate) -> tuple[BapInstance, np.nd
     # the zero and negative buckets, in F order: the congruences Q' A_i Q
     # round differently from a C-ordered Q
     Q = np.asfortranarray(dec.U[:, dec.p :])
-    red_map, red_b, removed = preprocess_surjective(inst.map.restrict(Q), inst.b)
-    meta = dict(inst.meta)
-    meta["reduced_from"] = inst.n
-    reduced = BapInstance(map=red_map, b=red_b, W=Q.T @ inst.W @ Q, meta=meta)
+    reduced, removed = inst.restrict(Q)
     return reduced, Q, removed
 
 

@@ -179,7 +179,7 @@ def gen_random_slater(
         raise ValueError(f"m must lie in [1, {tri_len(n)}] for order {n}, got {m}")
     rng = _rng(seed, "RandomSlater")
     amap = LinearMap(n=n, rows=_sym_rows(rng, n, m))
-    if _row_rank(amap) < m:
+    if _row_rank(amap)[0] < m:
         raise RuntimeError("Gaussian rows came out rank deficient; try another seed")
     G = rng.standard_normal((n, n)) / np.sqrt(n)
     Xhat = G @ G.T + np.eye(n)
@@ -288,7 +288,7 @@ def gen_planted_noslater(
         Msvec = np.array([svec(Mk) for Mk in M_list])
         corr = np.linalg.solve(Lam @ Lam.T, Msvec - Lam @ rows)
         amap = LinearMap(n=n, rows=rows + Lam.T @ corr)
-        if _row_rank(amap) < m:
+        if _row_rank(amap)[0] < m:
             continue
 
         G0 = rng.standard_normal((r, r))
@@ -503,9 +503,9 @@ def known_nearest_point(inst: BapInstance) -> np.ndarray:
     DualUnattained) is returned as a matrix.  Every feasible point of a
     PlantedNoSlater instance is V0 R V0' with V0 = ``meta["planted"]["v0"]``
     orthonormal, and ||V0 R V0' - W||^2 = ||R - V0' W V0||^2 + const, so
-    X* = V0 R* V0' with R* the nearest point of the problem on that face:
-    the rows svec(V0' A_i V0) less the dependent ones
-    (:func:`preprocess_surjective`), and the anchor V0' W V0.  Slater holds
+    X* = V0 R* V0' with R* the nearest point of the problem on that face
+    (:meth:`BapInstance.restrict`): the rows svec(V0' A_i V0) less the
+    dependent ones, and the anchor V0' W V0.  Slater holds
     there (the planted X-hat is V0 R-hat V0' with R-hat positive definite),
     so one Newton solve gives R*; a solve that does not end ``Solved``
     raises ``RuntimeError``.  Any other instance raises ``ValueError``.
@@ -518,8 +518,7 @@ def known_nearest_point(inst: BapInstance) -> np.ndarray:
             f"family {inst.meta.get('family')!r} plants no face and stores no x_star"
         )
     V0 = np.asarray(planted["v0"], dtype=float)
-    amap, b, _ = preprocess_surjective(inst.map.restrict(V0), inst.b)
-    trace = newton_solve(BapInstance(map=amap, b=b, W=V0.T @ inst.W @ V0))
+    trace = newton_solve(inst.restrict(V0)[0])
     if trace.status != NewtonStatus.SOLVED:
         raise RuntimeError(f"the solve on the planted face ended {trace.status.value}")
     return V0 @ trace.triple.X @ V0.T

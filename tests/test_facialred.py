@@ -397,7 +397,10 @@ def test_streamed_aux_jacobian_is_bitwise_the_whole_stack_one(m):
 _OVER_REDUCED = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="over-reduction: the round-0 face is inexact (ROADMAP item 1)",
+    reason=(
+        "over-reduction: round 1 keeps a row at sigma/sigma_1 = 2.2e-8, above the "
+        "1e-9 rank cut, and its next certificate cuts off the planted point (ROADMAP item 2)"
+    ),
 )
 
 

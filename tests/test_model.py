@@ -113,29 +113,34 @@ def _svd_preprocess(rows, b):
     return rows[keep], b[keep], removed
 
 
-def _counting_svdvals(monkeypatch):
+def _counting_qr(monkeypatch):
     calls = []
 
-    def svdvals(a, *args, **kwargs):
+    def qr(a, *args, **kwargs):
         calls.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    real = scipy.linalg.svdvals
-    monkeypatch.setattr(scipy.linalg, "svdvals", svdvals)
+    real = scipy.linalg.qr
+    monkeypatch.setattr(scipy.linalg, "qr", qr)
     return calls
 
 
 def _near_dependent_rows(ratio, rng):
     # 12 Gaussian rows of order 6, and a 13th that is their combination plus
-    # a direction off their span scaled so sigma_min / sigma_max ~ ratio
+    # a direction off their span, so sigma_min / sigma_max is about ratio / 10
     rows = _rand_map(6, 12, rng).rows.copy()
     Q, _ = np.linalg.qr(rows.T, mode="complete")
     off = Q[:, -1] * ratio * np.linalg.norm(rows, 2)
     return np.vstack([rows, rng.standard_normal(12) @ rows + off])
 
 
+def _sv_ratio(rows):
+    sv = scipy.linalg.svdvals(rows)
+    return sv[-1] / sv[0]
+
+
 def test_gaussian_rows_are_certified_full_rank_without_an_svd(monkeypatch):
-    calls = _counting_svdvals(monkeypatch)
+    calls = _counting_qr(monkeypatch)
     amap = gen_random_slater(30, 200, seed=4).map
     red, bred, removed = preprocess_surjective(amap, np.ones(200))
     assert calls == [] and removed == [] and red is amap
@@ -145,6 +150,7 @@ def test_gaussian_rows_are_certified_full_rank_without_an_svd(monkeypatch):
 
 @pytest.mark.parametrize("consistent", [True, False])
 def test_dependent_rows_take_the_svd_path_with_its_outcome(monkeypatch, consistent):
+    # the certificate declines, and one pivoted QR gives the SVD reference's outcome
     rng = np.random.default_rng(11)
     rows = _rand_map(5, 8, rng).rows
     rows = np.vstack([rows, 2.0 * rows[1], rows[0] - rows[6], rows[3]])
@@ -152,47 +158,62 @@ def test_dependent_rows_take_the_svd_path_with_its_outcome(monkeypatch, consiste
     b = rows @ x
     if not consistent:
         b[9] += 1e-3
-    calls = _counting_svdvals(monkeypatch)
+    calls = _counting_qr(monkeypatch)
     if consistent:
         red, bred, removed = preprocess_surjective(LinearMap(n=5, rows=rows), b)
+        assert len(calls) == 1
         ref_rows, ref_b, ref_removed = _svd_preprocess(rows, b)
         assert removed == ref_removed and len(removed) == 3
         assert np.array_equal(red.rows, ref_rows) and np.array_equal(bred, ref_b)
     else:
         with pytest.raises(InfeasibleManifoldError) as got:
             preprocess_surjective(LinearMap(n=5, rows=rows), b)
+        assert len(calls) == 1
         with pytest.raises(InfeasibleManifoldError) as ref:
             _svd_preprocess(rows, b)
         assert str(got.value) == str(ref.value)
-    assert len(calls) == 2  # the certificate declined: the package and the reference
 
 
 def test_certificate_declines_a_nearly_dependent_row_the_svd_keeps(monkeypatch):
-    rows = _near_dependent_rows(1e-7, np.random.default_rng(12))
-    sv = scipy.linalg.svdvals(rows)
-    assert 1e-9 < sv[-1] / sv[0] < 1e-6
-    calls = _counting_svdvals(monkeypatch)
+    # sigma_min / sigma_max is 1.2e-8, 1.7e-7 and 1.5e-6, above the band where
+    # the QR and the SVD rules can differ, and the SVD reference keeps the row
+    calls = _counting_qr(monkeypatch)
+    for ratio, seed in [(1e-7, 12), (1e-6, 13), (1e-5, 14)]:
+        rows = _near_dependent_rows(ratio, np.random.default_rng(seed))
+        assert 1e-8 < _sv_ratio(rows) < 1e-5
+        assert _svd_preprocess(rows, rows @ np.ones(21))[2] == []
+        calls.clear()
+        amap = LinearMap(n=6, rows=rows)
+        red, _, removed = preprocess_surjective(amap, rows @ np.ones(21))
+        assert len(calls) == 1 and removed == [] and red is amap
+    # sigma_min / sigma_max = 9.2e-10 lies just below the SVD's cut, and the
+    # reference removes the row; the QR diagonal |r_mm / r_00| = 1.3e-9 keeps it
+    rows = _near_dependent_rows(1e-8, np.random.default_rng(16))
+    assert 2.7e-10 < _sv_ratio(rows) < 1e-9
+    assert len(_svd_preprocess(rows, rows @ np.ones(21))[2]) == 1
     amap = LinearMap(n=6, rows=rows)
     red, _, removed = preprocess_surjective(amap, rows @ np.ones(21))
-    assert len(calls) == 1 and removed == [] and red is amap
+    assert removed == [] and red is amap
 
 
 def test_a_row_below_the_rank_cut_is_removed():
-    rows = _near_dependent_rows(1e-11, np.random.default_rng(13))
-    sv = scipy.linalg.svdvals(rows)
-    assert sv[-1] / sv[0] < 1e-9
-    b = rows @ np.ones(21)
-    red, bred, removed = preprocess_surjective(LinearMap(n=6, rows=rows), b)
-    ref_rows, ref_b, ref_removed = _svd_preprocess(rows, b)
-    assert removed == ref_removed and len(removed) == 1
-    assert np.array_equal(red.rows, ref_rows) and np.array_equal(bred, ref_b)
+    # sigma_min / sigma_max is 1.7e-12, 7.3e-11 and 2.4e-14, below the band
+    # where the QR and the SVD rules can differ
+    for ratio, seed in [(1e-11, 13), (5e-10, 14), (1e-13, 15)]:
+        rows = _near_dependent_rows(ratio, np.random.default_rng(seed))
+        assert _sv_ratio(rows) < 1e-10
+        b = rows @ np.ones(21)
+        red, bred, removed = preprocess_surjective(LinearMap(n=6, rows=rows), b)
+        ref_rows, ref_b, ref_removed = _svd_preprocess(rows, b)
+        assert removed == ref_removed and len(removed) == 1
+        assert np.array_equal(red.rows, ref_rows) and np.array_equal(bred, ref_b)
 
 
 def test_row_rank_certificate_is_skipped_for_long_rows(monkeypatch):
-    # with (t + m + 2) eps above tau / 10 the bound proves nothing: SVD only
-    calls = _counting_svdvals(monkeypatch)
+    # with (t + m + 2) eps above tau / 10 the bound proves nothing: QR only
+    calls = _counting_qr(monkeypatch)
     monkeypatch.setattr(model, "_CERT_TAU", 1e-14)
-    assert model._row_rank(_rand_map(6, 12, np.random.default_rng(14))) == 12
+    assert model._row_rank(_rand_map(6, 12, np.random.default_rng(14)))[0] == 12
     assert len(calls) == 1
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spectraproj import model, ssnewton, symcore
 from spectraproj.instances import (
@@ -13,6 +14,7 @@ from spectraproj.instances import (
     gen_elliptope,
     gen_planted_noslater,
     gen_random_slater,
+    gen_vontope,
     generate,
     noslater_suite_instance,
 )
@@ -32,7 +34,7 @@ from spectraproj.ssnewton import (
     newton_solve,
     trace_to_csv,
 )
-from spectraproj.symcore import BLOCK_DOUBLES, eig_sym, smat
+from spectraproj.symcore import BLOCK_DOUBLES, eig_sym, project_psd, smat, svec
 
 
 def _sym(rng, n, scale=1.0):
@@ -392,6 +394,41 @@ def test_slater_solves_keep_their_iteration_count(seed):
     trace = newton_solve(gen_random_slater(100, 200, seed=seed))
     assert trace.status == NewtonStatus.SOLVED
     assert trace.k_final == 4
+
+
+def _dykstra(inst, tol=1e-12, max_iter=20000):
+    # Higham's (2002) alternating projections: the psd projection carries
+    # Dykstra's correction dS, the affine projection needs none
+    rows = inst.map.rows
+    gram = scipy.linalg.cho_factor(inst.map.gram)
+    Y, dS = inst.W, np.zeros_like(inst.W)
+    for k in range(max_iter):
+        R = Y - dS
+        X, _ = project_psd(R)
+        dS = X - R
+        x = svec(X)
+        Y_next = smat(x - rows.T @ scipy.linalg.cho_solve(gram, rows @ x - inst.b))
+        step = np.linalg.norm(Y_next - Y)
+        Y = Y_next
+        if step <= tol * np.linalg.norm(Y):
+            return Y
+    raise AssertionError(f"Dykstra did not converge in {max_iter} iterations")
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        pytest.param(gen_random_slater(20, 40, seed=3), id="RandomSlater"),
+        pytest.param(gen_elliptope(30, seed=1), id="Elliptope"),
+        pytest.param(gen_vontope(4, seed=0, post_fr=True), id="VontopePost"),
+    ],
+)
+def test_newton_point_is_the_dykstra_point(inst):
+    # an oracle that shares nothing with the Newton step but project_psd
+    trace = newton_solve(inst)
+    assert trace.status == NewtonStatus.SOLVED
+    X = trace.triple.X
+    assert np.linalg.norm(X - _dykstra(inst)) <= 1e-8 * np.linalg.norm(X)
 
 
 def test_elliptope_solve_never_builds_the_dense_stack(monkeypatch):
