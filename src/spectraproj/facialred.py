@@ -153,10 +153,18 @@ def _polish_step(
     ``mdec`` decomposes A*(mu) and ``keep`` marks the columns of its U that
     span the cut.  Returns the unit candidate, its decomposition and its
     residual norm, or None when the system has no usable null vector.
+
+    The cut system K stacks the restricted rows svec(N'A_iN) as columns over
+    b', so it is (t + 1) x m with t = tri_len(|keep|), usually far taller
+    than wide (301 x 40 on the benchmark pool).  Only its singular values
+    and right singular vectors are read.  K = QR with Q orthonormal, so
+    K'K = R'R: the triangle R, m x m for a tall K and (t + 1) x m for a wide
+    one, has the same singular values and right singular vectors, and its
+    SVD stands in for K's without building K's (t + 1)-square left factor.
     """
     N = mdec.U[:, keep]
     K = np.vstack([inst.map.restrict(N).rows.T, inst.b])
-    _, sig, Vt = np.linalg.svd(K, full_matrices=True)
+    _, sig, Vt = np.linalg.svd(np.linalg.qr(K, mode="r"))
     null_mask = np.zeros(inst.m, dtype=bool)
     null_mask[len(sig):] = True
     null_mask[: len(sig)] |= sig <= 1e-8 * (sig[0] if len(sig) else 1.0)

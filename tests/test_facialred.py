@@ -453,6 +453,16 @@ def test_reduction_ends_on_the_planted_face_of_the_pool_instances_it_reaches(see
     assert np.linalg.norm(res.X - Xstar) <= 1e-7 * np.linalg.norm(Xstar)
 
 
+def _cut_null_space(K, m):
+    # the polish's rank rule on the SVD of K (or of its triangle R): a right
+    # singular vector is null when sigma <= 1e-8 sigma_0 or K has no row for it
+    _, sig, Vt = np.linalg.svd(K, full_matrices=True)
+    null_mask = np.zeros(m, dtype=bool)
+    null_mask[len(sig):] = True
+    null_mask[: len(sig)] |= sig <= 1e-8 * (sig[0] if len(sig) else 1.0)
+    return null_mask, Vt[null_mask].T
+
+
 def _polish_without_memo(inst, lam, rn, dec):
     # the three rank cuts as separate loops, every pass computed afresh
     best = (lam, rn, dec)
@@ -464,13 +474,9 @@ def _polish_without_memo(inst, lam, rn, dec):
                 break
             N = mdec.U[:, keep]
             K = np.vstack([inst.map.restrict(N).rows.T, inst.b])
-            _, sig, Vt = np.linalg.svd(K, full_matrices=True)
-            null_mask = np.zeros(inst.m, dtype=bool)
-            null_mask[len(sig):] = True
-            null_mask[: len(sig)] |= sig <= 1e-8 * (sig[0] if len(sig) else 1.0)
+            null_mask, B = _cut_null_space(np.linalg.qr(K, mode="r"), inst.m)
             if not null_mask.any():
                 break
-            B = Vt[null_mask].T
             cand = B @ (B.T @ mu)
             nm = float(np.linalg.norm(cand))
             if nm < 1e-8:
@@ -515,3 +521,59 @@ def test_memoized_polish_is_bitwise_the_full_replay(monkeypatch):
         assert rn == ref_rn
         assert dec.lam.tobytes() == ref_dec.lam.tobytes()
         assert memo_svd < calls["svd"]
+
+
+def test_polish_triangle_keeps_the_full_svd_null_space(monkeypatch):
+    # the SVD of K's triangle R against the full SVD of K: the same null
+    # mask, and the same null space up to rounding.  First every cut system
+    # the polish factors while the pipeline reduces pool seed 1000
+    # (30 -> 24 -> 23): four passes in each round, 301 x 40 and 277 x 38
+    systems = []
+    real_qr = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        if mode == "r":
+            systems.append(np.array(a))
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    inst = gen_planted_noslater(30, 40, sd_target=2, iips_target=3, support_size=5, seed=1000)
+    assert [r.inst.n for r in solve_with_reduction(inst).rounds] == [30, 24, 23]
+    monkeypatch.setattr(np.linalg, "qr", real_qr)
+    assert [K.shape for K in systems] == [(301, 40)] * 4 + [(277, 38)] * 4
+    rng = np.random.default_rng(3)
+    # wide: 12 rows, rank 10, m = 40; R is 12 x 40 and the rule appends the
+    # 28 right singular vectors K has no row for
+    systems.append(rng.standard_normal((12, 10)) @ rng.standard_normal((10, 40)))
+    # tall, one singular value just inside the cut and one just outside
+    U, _ = np.linalg.qr(rng.standard_normal((301, 40)))
+    V, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    for edge in (0.5e-8, 2e-8):
+        systems.append((U * np.append(np.logspace(0, -2, 39), edge)) @ V.T)
+    masks = []
+    for K in systems:
+        ref_mask, B_ref = _cut_null_space(K, K.shape[1])
+        mask, B = _cut_null_space(np.linalg.qr(K, mode="r"), K.shape[1])
+        assert mask.tolist() == ref_mask.tolist()
+        assert np.linalg.norm(B @ B.T - B_ref @ B_ref.T) <= 1e-12
+        masks.append(int(mask.sum()))
+    assert masks[-3:] == [30, 1, 0]
+
+
+def test_reduction_factors_no_tall_system_for_its_singular_vectors(monkeypatch):
+    # the polish reads only sigma and V' of its tall cut system, so it factors
+    # the m x m triangle; a full SVD of K would build a (t+1) x (t+1) U
+    tall = []
+    real_svd = np.linalg.svd
+
+    def checking(a, *args, **kwargs):
+        compute_uv = args[1] if len(args) > 1 else kwargs.get("compute_uv", True)
+        if compute_uv and a.shape[-2] > a.shape[-1]:
+            tall.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", checking)
+    inst = gen_planted_noslater(30, 40, sd_target=2, iips_target=3, support_size=5, seed=1000)
+    res = solve_with_reduction(inst)
+    assert res.rounds[-1].trace.status == NewtonStatus.SOLVED
+    assert tall == []
