@@ -1,7 +1,9 @@
 """Command-line front end: solve, reduce, diagnose, generate, benchmark.
 
-Every artifact embeds the resolved configuration, the seed and the library
-version.  For a fixed configuration the JSON and trace-CSV artifacts are
+Each subcommand takes only the flags it reads, and every artifact echoes the
+settings that shaped it: the command, seed and library version, the instance
+source when the command reads one, and the Newton options only when a Newton
+solve ran.  For a fixed configuration the JSON and trace-CSV artifacts are
 byte-identical across runs; experiment tables additionally carry a wall-clock
 column, which is the one documented exception to bitwise reproducibility.
 
@@ -144,14 +146,11 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
         _usage_error(str(exc))
 
 
-def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
-    """Fully resolved run configuration, embedded in every artifact."""
-    cfg: dict[str, Any] = {
-        "command": args.command,
-        "version": __version__,
-        "seed": args.seed,
-        "options": dataclasses.asdict(_options_from_args(args)),
-    }
+def _config_echo(args: argparse.Namespace, opts: NewtonOptions | None) -> dict[str, Any]:
+    """The settings that shaped an artifact: ``opts`` is None when no Newton solve ran."""
+    cfg: dict[str, Any] = {"command": args.command, "version": __version__, "seed": args.seed}
+    if opts is not None:
+        cfg["options"] = dataclasses.asdict(opts)
     if getattr(args, "instance", None) is not None:
         cfg["instance"] = args.instance
     elif getattr(args, "gen", None) is not None:
@@ -197,12 +196,13 @@ def _solve_summary(inst: BapInstance, trace: NewtonTrace) -> dict[str, Any]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _resolve_instance(args)
-    trace = newton_solve(inst, opts=_options_from_args(args))
+    opts = _options_from_args(args)
+    trace = newton_solve(inst, opts=opts)
     out = Path(args.out)
     if "trace" in args.emit:
         _write_text(out / "trace.csv", trace_to_csv(trace))
     if "report" in args.emit:
-        report = {"config": _config_echo(args), **_solve_summary(inst, trace)}
+        report = {"config": _config_echo(args, opts), **_solve_summary(inst, trace)}
         _write_json(out / "report.json", report)
     print(
         f"status={trace.status.value} k={trace.k_final} "
@@ -215,7 +215,7 @@ def cmd_fr(args: argparse.Namespace) -> int:
     inst = _resolve_instance(args)
     chain, final = fr_loop(inst)
     out = Path(args.out)
-    report = {"config": _config_echo(args), **fr_report(chain, final)}
+    report = {"config": _config_echo(args, opts=None), **fr_report(chain, final)}
     if "report" in args.emit:
         _write_json(out / "fr_report.json", report)
         save_instance(final, str(out / "reduced_instance.json"))
@@ -233,7 +233,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     iterate and, when that point is feasible enough, the rank test there.
     """
     inst = _resolve_instance(args)
-    res = solve_with_reduction(inst, _options_from_args(args))
+    opts = _options_from_args(args)
+    res = solve_with_reduction(inst, opts)
     out = Path(args.out)
     rounds: list[dict[str, Any]] = []
     for rnd, r in enumerate(res.rounds):
@@ -248,7 +249,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     trace, X_lift = res.rounds[-1].trace, res.X
     pf = scaled_primal_residual(inst, X_lift)
     report: dict[str, Any] = {
-        "config": _config_echo(args),
+        "config": _config_echo(args, opts),
         "rounds": rounds,
         "fr_rounds": len(rounds) - 1,
         "status": trace.status.value,
@@ -277,8 +278,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     inst = _resolve_instance(args)
+    opts = _options_from_args(args)
     out = Path(args.out)
-    report: dict[str, Any] = {"config": _config_echo(args)}
     X: np.ndarray | None = None
     if args.x_json is not None:
         X = _read_file("--x-json", args.x_json, _read_point)
@@ -292,6 +293,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 break
         if X is None:
             _usage_error("instance metadata has no planted point")
+    report: dict[str, Any] = {"config": _config_echo(args, opts if X is None else None)}
     if X is not None:
         try:
             report["degeneracy"] = is_nondegenerate(inst, X).to_dict()
@@ -305,7 +307,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 "min_eig": float(np.linalg.eigvalsh(X).min()),
             }
     else:
-        trace = newton_solve(inst, opts=_options_from_args(args))
+        trace = newton_solve(inst, opts=opts)
         cc = jacobian_degeneracy_crosscheck(inst, trace)
         report["solve"] = _solve_summary(inst, trace)
         report["crosscheck"] = cc.to_dict()
@@ -426,13 +428,13 @@ def _suite_cells(suite: str, seeds: int, base_seed: int) -> list[dict[str, Any]]
     ]
 
 
-def _run_singularity_demo(args: argparse.Namespace) -> int:
+def _run_singularity_demo(args: argparse.Namespace, opts: NewtonOptions) -> int:
     """The stall-then-repair walk: one planted instance, before/after rows."""
     out = Path(args.out)
     inst = gen_planted_noslater(
         15, 7, sd_target=1, iips_target=1, support_size=5, seed=args.seed
     )
-    res = solve_with_reduction(inst, _options_from_args(args))
+    res = solve_with_reduction(inst, opts)
     if len(res.rounds) == 1:
         status = res.rounds[0].trace.status.value
         print(f"round 0 ended {status} with no reduction; nothing to repair", file=sys.stderr)
@@ -458,7 +460,7 @@ def _run_singularity_demo(args: argparse.Namespace) -> int:
         _write_json(
             out / "singularity_demo.json",
             {
-                "config": _config_echo(args),
+                "config": _config_echo(args, opts),
                 "rows_removed": first.step.rows_removed,
                 "before": _trace_row(first.trace),
                 "after": _trace_row(last.trace),
@@ -469,17 +471,21 @@ def _run_singularity_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.suite == "singularity_demo":
-        return _run_singularity_demo(args)
-    out = Path(args.out)
     opts = _options_from_args(args)
-    if args.workers < 1:
+    if args.suite == "singularity_demo":
+        if args.seeds is not None or args.workers is not None:
+            _usage_error("--seeds and --workers apply only to the table suites")
+        return _run_singularity_demo(args, opts)
+    out = Path(args.out)
+    workers = 1 if args.workers is None else args.workers
+    seeds = 20 if args.seeds is None else args.seeds
+    if workers < 1:
         _usage_error("--workers must be at least 1")
-    if args.seeds < 1:
+    if seeds < 1:
         _usage_error("--seeds must be at least 1")
-    cells = _suite_cells(args.suite, args.seeds, args.seed)
+    cells = _suite_cells(args.suite, seeds, args.seed)
     # collected in submission order, so the bytes do not depend on --workers
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for c in cells:
             futures = [pool.submit(lambda mk=mk: _run_one(mk(), opts)) for mk in c.pop("makers")]
             c["rows"] = [f.result() for f in futures]
@@ -492,7 +498,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         _write_text(out / f"{args.suite}_pct.csv", pcsv)
     if "report" in args.emit:
         payload = {
-            "config": _config_echo(args),
+            "config": _config_echo(args, opts),
             "suite": args.suite,
             "cells": [
                 {
@@ -527,52 +533,56 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    src = argparse.ArgumentParser(add_help=False)
-    src.add_argument("--instance", help="path to an instance JSON file")
-    src.add_argument("--gen", choices=FAMILIES, help="generate an instance instead")
-    src.add_argument("--n", type=int, default=10)
-    src.add_argument("--m", type=int, default=None)
+    # each flag is made once, then handed to every subcommand that reads it;
+    # parents= would build one more parser per group on every main() call
+    add = argparse.ArgumentParser(add_help=False).add_argument
+    source = (
+        add("--instance", help="path to an instance JSON file"),
+        add("--gen", choices=FAMILIES, help="generate an instance instead"),
+        add("--n", type=int, default=10),
+        add("--m", type=int, default=None),
+        add("--sd", type=int, default=None, help="planted singularity degree"),
+        add("--iips", type=int, default=None, help="planted redundant rows"),
+        add("--support", type=int, default=None, help="certificate support size"),
+        add("--w-mode", default="random", choices=("random", "rank1", "feasible")),
+    )
     # a string default goes through type=int, so a bad SPECTRA_SEED is a usage error
-    src.add_argument("--seed", type=int, default=os.environ.get("SPECTRA_SEED", "0"))
-    src.add_argument("--sd", type=int, default=None, help="planted singularity degree")
-    src.add_argument("--iips", type=int, default=None, help="planted redundant rows")
-    src.add_argument("--support", type=int, default=None, help="certificate support size")
-    src.add_argument(
-        "--w-mode", default="random", choices=("random", "rank1", "feasible")
+    seed = add("--seed", type=int, default=os.environ.get("SPECTRA_SEED", "0"))
+    newton = (
+        add("--eps", type=float, default=1e-13),
+        add("--cond-budget", type=float, default=16.0),
+        add("--max-iter", type=int, default=2000),
     )
+    out = add("--out", default="out")
+    emit = add("--emit", type=_parse_emit, default={"trace", "report", "table"},
+               help="comma-separated subset of trace,report,table")
 
-    knobs = argparse.ArgumentParser(add_help=False)
-    knobs.add_argument("--eps", type=float, default=1e-13)
-    knobs.add_argument("--cond-budget", type=float, default=16.0)
-    knobs.add_argument("--max-iter", type=int, default=2000)
-    knobs.add_argument("--out", default="out")
-    knobs.add_argument(
-        "--emit", type=_parse_emit, default={"trace", "report", "table"},
-        help="comma-separated subset of trace,report,table",
-    )
+    def command(name: str, func: Callable[[argparse.Namespace], int],
+                *flags: argparse.Action) -> argparse.ArgumentParser:
+        # no abbreviations: --m must not stand for experiment's --max-iter
+        cmd = sub.add_parser(name, allow_abbrev=False)
+        for action in flags:
+            cmd._add_action(action)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    sub.add_parser("solve", parents=[src, knobs]).set_defaults(func=cmd_solve)
-    sub.add_parser("fr", parents=[src, knobs]).set_defaults(func=cmd_fr)
-    sub.add_parser("pipeline", parents=[src, knobs]).set_defaults(func=cmd_pipeline)
-
-    diag = sub.add_parser("diagnose", parents=[src, knobs])
-    diag.add_argument("--x-json", help="JSON file with an explicit point under key 'X'")
-    diag.add_argument(
-        "--at-planted", action="store_true",
-        help="diagnose at the generator's planted point",
-    )
-    diag.set_defaults(func=cmd_diagnose)
-
-    sub.add_parser("gen", parents=[src, knobs]).set_defaults(func=cmd_gen)
-
-    exp = sub.add_parser("experiment", parents=[src, knobs])
+    command("solve", cmd_solve, *source, seed, *newton, out, emit)
+    command("fr", cmd_fr, *source, seed, out, emit)
+    command("pipeline", cmd_pipeline, *source, seed, *newton, out, emit)
+    diag = command("diagnose", cmd_diagnose, *source, seed, *newton, out, emit)
+    point = diag.add_mutually_exclusive_group()
+    point.add_argument("--x-json", help="JSON file with an explicit point under key 'X'")
+    point.add_argument("--at-planted", action="store_true",
+                       help="diagnose at the generator's planted point")
+    command("gen", cmd_gen, *source, seed, out)
+    exp = command("experiment", cmd_experiment, seed, *newton, out, emit)
     exp.add_argument(
         "suite",
         choices=("slater_table", "noslater_table", "singularity_demo", "ellip_vontope_table"),
     )
-    exp.add_argument("--seeds", type=int, default=20, help="instances per cell")
-    exp.add_argument("--workers", type=int, default=1)
-    exp.set_defaults(func=cmd_experiment)
+    # no defaults here, so singularity_demo can reject a given value
+    exp.add_argument("--seeds", type=int, help="instances per table cell (default 20)")
+    exp.add_argument("--workers", type=int, help="threads for a table (default 1)")
     return parser
 
 

@@ -110,6 +110,9 @@ def generate(spec: GeneratorSpec) -> BapInstance:
         raise ValueError(f"m applies only to RandomSlater and PlantedNoSlater, not {fam}")
     if ex and fam != "PlantedNoSlater":
         raise ValueError(f"{', '.join(ex)} applies only to PlantedNoSlater, not {fam}")
+    if spec.w_mode != "random" and fam in ("DualUnattained", "Sd2Chain", "DualGapFace"):
+        raise ValueError("w_mode applies only to Elliptope, VontopePre, VontopePost, "
+                         f"RandomSlater and PlantedNoSlater, not {fam}")
     if fam == "Elliptope":
         return gen_elliptope(spec.n, seed=spec.seed, w_mode=spec.w_mode)
     if fam == "VontopePre":

@@ -542,10 +542,16 @@ def test_generated_order_must_be_positive(tmp_path, capsys):
          "m applies only to RandomSlater and PlantedNoSlater, not Elliptope"),
         (("--gen", "RandomSlater", "--iips", "2", "--support", "3"),
          "iips, support applies only to PlantedNoSlater, not RandomSlater"),
+        (("--gen", "DualUnattained", "--n", "3", "--w-mode", "feasible"),
+         "w_mode applies only to Elliptope, VontopePre, VontopePost, RandomSlater and "
+         "PlantedNoSlater, not DualUnattained"),
+        (("--gen", "Sd2Chain", "--w-mode", "rank1"), "w_mode applies only to"),
+        (("--gen", "DualGapFace", "--w-mode", "feasible"), "not DualGapFace"),
     ],
     ids=[
         "rank1", "vontope-n", "sd", "support", "unattained-n", "slater-m", "planted-m", "seed",
-        "ignored-m", "ignored-extras",
+        "ignored-m", "ignored-extras", "ignored-w-mode-unattained", "ignored-w-mode-sd2",
+        "ignored-w-mode-gap",
     ],
 )
 def test_generator_argument_error_is_a_usage_error(tmp_path, capsys, argv, reason):
@@ -576,6 +582,7 @@ def test_singularity_walk_artifacts(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "before" in text and "after" in text
     rep = json.loads((out / "singularity_demo.json").read_text())
+    assert set(rep["config"]) == {"command", "version", "seed", "options"}
     assert rep["before"]["status"] == "SuspectedDegenerate"
     assert rep["after"]["status"] == "Solved"
     assert len(rep["rows_removed"]) == 1
@@ -590,3 +597,51 @@ def test_singularity_walk_without_a_stall_has_nothing_to_repair(tmp_path, capsys
     assert code == EXIT_FAILURE
     assert "nothing to repair" in capsys.readouterr().err
     assert not out.exists()
+
+
+# flags with valid values, each taken and never read before it was rejected
+_SOURCE = [("--instance", "problem.json"), ("--gen", "Elliptope"), ("--n", "5"), ("--m", "3"),
+           ("--sd", "1"), ("--iips", "1"), ("--support", "3"), ("--w-mode", "rank1")]
+_NEWTON = [("--eps", "0.1"), ("--cond-budget", "8"), ("--max-iter", "5")]
+_UNREAD = (
+    [(("fr", "--gen", "Sd2Chain"), flag) for flag in _NEWTON]
+    + [(("gen", "--gen", "Elliptope", "--n", "4"), flag) for flag in _NEWTON + [("--emit", "report")]]
+    + [(("experiment", "noslater_table", "--seeds", "1"), flag) for flag in _SOURCE]
+    + [(("experiment", "singularity_demo"), ("--seeds", "3")),
+       (("experiment", "singularity_demo"), ("--workers", "2")),
+       # --x-json used to win silently over --at-planted
+       (("diagnose", "--gen", "Elliptope", "--n", "3", "--x-json", "x.json"), ("--at-planted",))]
+)
+
+
+@pytest.mark.parametrize("argv, flag", _UNREAD, ids=[argv[0] + flag[0] for argv, flag in _UNREAD])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, flag
+):
+    monkeypatch.chdir(tmp_path)
+    Path("x.json").write_text(json.dumps({"X": np.eye(3).tolist()}))
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, *flag, "--out", "o")
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not Path("o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, report, solved",
+    [
+        (("solve", "--gen", "Elliptope", "--n", "4"), "report.json", True),
+        (("pipeline", "--gen", "Sd2Chain"), "report.json", True),
+        (("diagnose", "--gen", "Elliptope", "--n", "4"), "diagnose.json", True),
+        (("fr", "--gen", "Sd2Chain"), "fr_report.json", False),
+        (("diagnose", "--gen", "VontopePost", "--n", "3", "--w-mode", "rank1", "--at-planted"),
+         "diagnose.json", False),
+    ],
+    ids=["solve", "pipeline", "diagnose-solve", "fr", "diagnose-at-planted"],
+)
+def test_config_echoes_newton_options_only_where_a_solve_ran(tmp_path, argv, report, solved):
+    out = tmp_path / "o"
+    assert _run(*argv, "--out", str(out)) == EXIT_OK
+    config = json.loads((out / report).read_text())["config"]
+    assert ("options" in config) is solved
+    assert config["generator"]["family"] == argv[2]

@@ -33,3 +33,23 @@ def test_readme_python_block_runs(capsys):
     exec(compile(code, str(README), "exec"), {})
     status, k, relres = capsys.readouterr().out.split()
     assert status == "Solved" and int(k) > 0 and float(relres) <= 1e-13
+
+
+def _flags(text):
+    return set(re.findall(r"`(--[\w-]+)`", text))
+
+
+def test_readme_flag_table_matches_the_parser():
+    text = README.read_text()
+    source, newton = re.search(
+        r"The source group is(.*?); the Newton group is(.*?)\.", text, re.S
+    ).groups()
+    # the group columns, in the table's order
+    groups = [_flags(source), {"--seed"}, _flags(newton), {"--out"}, {"--emit"}]
+    table = re.search(r"^\| subcommand \|.*?\n\n", text, re.M | re.S)[0]
+    (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    for row in table.strip().splitlines()[2:]:
+        name, *marks, own = [c.strip() for c in row.strip("|").split("|")]
+        want = _flags(own).union(*(g for g, mark in zip(groups, marks) if mark == "yes"))
+        taken = {s for a in sub.choices[name.strip("`")]._actions for s in a.option_strings}
+        assert taken - {"-h", "--help"} == want, name
