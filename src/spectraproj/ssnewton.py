@@ -12,6 +12,7 @@ or iteration limit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -226,6 +227,22 @@ class NewtonOptions:
     cond_budget: float = 16.0
     max_iter: int = 2000
 
+    def check(self) -> None:
+        """Raise ValueError where a setting would leave a status meaningless.
+
+        ``eps_final`` must lie in [0, 1): relres is clamped at 1, so 1 or more
+        declares the start solved, and a negative or NaN one nothing.
+        ``cond_budget`` must be at least 0 and not NaN, and ``max_iter`` at
+        least 0, since the trace needs one iterate.  Each message opens with
+        the field's name.
+        """
+        if not 0.0 <= self.eps_final < 1.0:
+            raise ValueError(f"eps_final must lie in [0, 1), got {self.eps_final}")
+        if not self.cond_budget >= 0.0:
+            raise ValueError(f"cond_budget must be at least 0, got {self.cond_budget}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
+
 
 @dataclass
 class NewtonIterate:
@@ -240,11 +257,18 @@ class NewtonIterate:
 
 @dataclass
 class NewtonTrace:
+    """The iterates of one solve, how it stopped, and its last KKT triple.
+
+    ``J`` is the Newton matrix at the last iterate, jacobian(inst, triple.y).
+    A solved run stops without forming it: its trace, and its last iterate's
+    ``cond`` and ``eig_J``, form it on first read (:class:`_SolvedIterate`).
+    """
+
     iterates: list[NewtonIterate]
     status: NewtonStatus
     triple: KktTriple
     options: NewtonOptions
-    J: np.ndarray  # Newton matrix at the last iterate: jacobian(inst, triple.y)
+    J: np.ndarray
 
     @property
     def k_final(self) -> int:
@@ -260,6 +284,51 @@ class NewtonTrace:
 
     def relres_history(self) -> np.ndarray:
         return np.array([it.relres for it in self.iterates])
+
+
+class _SolvedIterate(NewtonIterate):
+    """The last iterate of a solved run, whose Newton matrix is formed on first read.
+
+    The loop stops there without forming it.  The iterate keeps the map and
+    the decomposition, and forms ``J`` and its spectrum from them once, by
+    the module's :func:`_jacobian_from_dec` and :func:`jacobian_spectrum`
+    looked up when read, to the bits the loop would have formed.
+    """
+
+    def __init__(self, k: int, y: np.ndarray, relres: float, lam_min_X: float,
+                 wallclock: float, amap: LinearMap, dec: SpectralDecomp) -> None:
+        self.k, self.y, self.relres = k, y, relres
+        self.lam_min_X, self.wallclock = lam_min_X, wallclock
+        self._amap, self._dec = amap, dec
+
+    @functools.cached_property
+    def J(self) -> np.ndarray:
+        return _jacobian_from_dec(self._amap, self._dec)
+
+    @functools.cached_property
+    def _spectrum(self) -> tuple[np.ndarray, float]:
+        return jacobian_spectrum(self.J)
+
+    @property
+    def cond(self) -> float:
+        return self._spectrum[1]
+
+    @property
+    def eig_J(self) -> np.ndarray:
+        return self._spectrum[0]
+
+
+class _SolvedTrace(NewtonTrace):
+    """The trace of a solved run: ``J`` is its last iterate's, formed on first read."""
+
+    def __init__(self, iterates: list[NewtonIterate], triple: KktTriple,
+                 options: NewtonOptions) -> None:
+        self.iterates, self.triple, self.options = iterates, triple, options
+        self.status = NewtonStatus.SOLVED
+
+    @property
+    def J(self) -> np.ndarray:
+        return self.iterates[-1].J
 
 
 def _reg_scale(amap: LinearMap, b_scale: float) -> float:
@@ -367,7 +436,15 @@ def newton_solve(
       in relres exceed cond_budget             -> SUSPECTED_DEGENERATE
     * k reached max_iter                       -> ITER_LIMIT
 
-    A negative ``max_iter`` raises ValueError: the trace needs one iterate.
+    A solved iterate stops before its Newton matrix is formed, since the
+    rule read relres alone.  The trace keeps that iterate's decomposition,
+    and its ``J``, ``cond_final`` and last ``eig_J`` form the matrix and its
+    spectrum on first read, once, to the bits the loop would have formed.
+    A caller that wants only the projection never pays for them.  Stalled
+    and iteration-limit runs form J at every iterate, their last included.
+
+    Options that leave a status meaningless raise ValueError
+    (:meth:`NewtonOptions.check`).
     A residual or Newton matrix with an infinite or NaN entry raises
     ValueError before the step, as a checked Cholesky factorization would.
 
@@ -379,8 +456,7 @@ def newton_solve(
     spectrum and every y are the same to the last bit either way.
     """
     opts = opts or NewtonOptions()
-    if opts.max_iter < 0:
-        raise ValueError(f"max_iter must be at least 0, got {opts.max_iter}")
+    opts.check()
     m = inst.m
     y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
     b_scale = 1.0 + np.linalg.norm(inst.b)
@@ -397,6 +473,14 @@ def newton_solve(
         F = inst.map.apply(X) - inst.b
         normF = float(np.linalg.norm(F))
         relres = min(1.0, normF / b_scale)
+        lam_min_X = max(float(dec.lam[-1]), 0.0) if dec.n else 0.0
+        if relres <= opts.eps_final:
+            status = NewtonStatus.SOLVED
+            iterates.append(
+                _SolvedIterate(k, y.copy(), relres, lam_min_X, time.perf_counter() - t0,
+                               inst.map, dec)
+            )
+            break
         J = _jacobian_from_dec(inst.map, dec)
         eig_J, cond = jacobian_spectrum(J)
         iterates.append(
@@ -406,13 +490,10 @@ def newton_solve(
                 relres=relres,
                 cond=cond,
                 eig_J=eig_J,
-                lam_min_X=max(float(dec.lam[-1]), 0.0) if dec.n else 0.0,
+                lam_min_X=lam_min_X,
                 wallclock=time.perf_counter() - t0,
             )
         )
-        if relres <= opts.eps_final:
-            status = NewtonStatus.SOLVED
-            break
         if _digits_lost(cond) + _digits_gained(relres) > opts.cond_budget:
             status = NewtonStatus.SUSPECTED_DEGENERATE
             break
@@ -427,14 +508,10 @@ def newton_solve(
             d *= 1e8 / nd
         y = y + d
 
-    Z = X - Y
-    return NewtonTrace(
-        iterates=iterates,
-        status=status,
-        triple=KktTriple(X=X, y=y.copy(), Z=Z),
-        options=opts,
-        J=J,
-    )
+    triple = KktTriple(X=X, y=y.copy(), Z=X - Y)
+    if status is NewtonStatus.SOLVED:
+        return _SolvedTrace(iterates, triple, opts)
+    return NewtonTrace(iterates=iterates, status=status, triple=triple, options=opts, J=J)
 
 
 def trace_to_csv(trace: NewtonTrace) -> str:

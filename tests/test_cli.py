@@ -520,6 +520,30 @@ def test_negative_iteration_cap_is_a_usage_error(tmp_path, capsys):
     assert "--max-iter must be at least 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--gen", "Elliptope", "--n", "5", "--eps", "inf"),
+        ("solve", "--gen", "Elliptope", "--n", "5", "--eps", "1"),
+        ("solve", "--gen", "Elliptope", "--n", "5", "--eps", "-1"),
+        ("solve", "--gen", "Elliptope", "--n", "5", "--eps", "nan"),
+        ("solve", "--gen", "Elliptope", "--n", "5", "--cond-budget", "-1"),
+        ("solve", "--gen", "Elliptope", "--n", "5", "--cond-budget", "nan"),
+        ("pipeline", "--gen", "Sd2Chain", "--eps", "1"),
+        ("diagnose", "--gen", "Elliptope", "--n", "4", "--cond-budget", "-1"),
+        ("experiment", "singularity_demo", "--eps", "inf"),
+        ("experiment", "slater_table", "--seeds", "1", "--cond-budget", "nan"),
+    ],
+    ids=["solve-eps-inf", "solve-eps-1", "solve-eps-neg", "solve-eps-nan", "solve-budget-neg",
+         "solve-budget-nan", "pipeline", "diagnose", "singularity-demo", "table"],
+)
+def test_a_meaningless_newton_tolerance_is_a_usage_error(tmp_path, capsys, argv):
+    err = _usage_error(capsys, *argv, "--out", str(tmp_path / "o"))
+    flag = "--eps" if "--eps" in argv else "--cond-budget"
+    assert f"{flag} must " in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_generated_order_must_be_positive(tmp_path, capsys):
     err = _usage_error(
         capsys, "solve", "--gen", "Elliptope", "--n", "0", "--out", str(tmp_path / "o")

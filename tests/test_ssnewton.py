@@ -1,4 +1,5 @@
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -592,8 +593,79 @@ def test_newton_iteration_frees_the_last_step_before_the_next_assembly(monkeypat
     finally:
         tracemalloc.stop()
     assert trace.status == NewtonStatus.SOLVED
-    assert len(live) == len(trace.iterates) >= 3
+    # a solved run stops before the Newton matrix of its last iterate
+    assert len(live) == trace.k_final >= 3
     assert max(live[1:]) - live[0] < m * m * 8 // 4
+
+
+def _count_newton_matrices(monkeypatch):
+    calls = {"assembly": 0, "spectrum": 0}
+    for attr, name in (("_jacobian_from_dec", "assembly"), ("jacobian_spectrum", "spectrum")):
+        fn = getattr(ssnewton, attr)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(ssnewton, attr, counted)
+    return calls
+
+
+def test_a_solved_run_forms_no_newton_matrix_at_its_last_iterate(monkeypatch):
+    calls = _count_newton_matrices(monkeypatch)
+    trace = newton_solve(gen_random_slater(12, 20, seed=5))
+    assert trace.status == NewtonStatus.SOLVED and trace.k_final >= 2
+    assert calls == {"assembly": trace.k_final, "spectrum": trace.k_final}
+
+
+_READS = {
+    "J": lambda trace: trace.J,
+    "eig_J": lambda trace: trace.iterates[-1].eig_J,
+    "cond_final": lambda trace: trace.cond_final,
+    "csv": trace_to_csv,
+}
+
+
+@pytest.mark.parametrize(
+    "order", list(itertools.permutations(_READS)), ids="-".join
+)
+def test_a_solved_trace_forms_its_last_newton_matrix_once_on_first_read(monkeypatch, order):
+    inst = gen_random_slater(12, 20, seed=5)
+    trace = newton_solve(inst)
+    assert trace.status == NewtonStatus.SOLVED
+    J = jacobian(inst, trace.triple.y)
+    eig_J, cond = jacobian_spectrum(J)
+    calls = _count_newton_matrices(monkeypatch)
+    got = {name: _READS[name](trace) for name in order}
+    assert calls == {"assembly": 1, "spectrum": 1}
+    assert got["J"].tobytes() == trace.J.tobytes() == J.tobytes()
+    assert got["eig_J"].tobytes() == eig_J.tobytes()
+    assert got["cond_final"] == trace.iterates[-1].cond == cond
+    last = [str(trace.k_final), format(trace.relres_final, ".17g"), format(cond, ".17g")]
+    assert got["csv"].splitlines()[-1] == ",".join(last + [format(v, ".17g") for v in eig_J])
+    assert calls == {"assembly": 1, "spectrum": 1}
+
+
+@pytest.mark.parametrize(
+    "inst, opts, status",
+    [
+        (gen_planted_noslater(15, 7, sd_target=1, iips_target=1, support_size=5, seed=0),
+         NewtonOptions(), NewtonStatus.SUSPECTED_DEGENERATE),
+        (gen_dual_unattained(2, seed=0), NewtonOptions(max_iter=120), NewtonStatus.ITER_LIMIT),
+    ],
+    ids=["stalled", "iter-limit"],
+)
+def test_an_unsolved_run_forms_the_newton_matrix_at_every_iterate(monkeypatch, inst, opts, status):
+    calls = _count_newton_matrices(monkeypatch)
+    trace = newton_solve(inst, opts=opts)
+    assert trace.status == status
+    iterates = len(trace.iterates)
+    assert calls == {"assembly": iterates, "spectrum": iterates}
+    trace_to_csv(trace)
+    assert trace.cond_final == trace.iterates[-1].cond
+    assert np.array_equal(trace.J, jacobian(inst, trace.triple.y))
+    # jacobian() above is the one assembly the reads added
+    assert calls == {"assembly": iterates + 1, "spectrum": iterates}
 
 
 def test_jacobian_is_psd_along_the_iteration():
@@ -651,6 +723,26 @@ def test_negative_iteration_cap_is_refused():
     inst = gen_random_slater(5, 4, seed=0)
     with pytest.raises(ValueError, match="max_iter"):
         newton_solve(inst, opts=NewtonOptions(max_iter=-1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("eps_final", np.inf), ("eps_final", 1.0), ("eps_final", -1.0), ("eps_final", np.nan),
+     ("cond_budget", -1.0), ("cond_budget", np.nan)],
+)
+def test_a_tolerance_that_makes_the_status_meaningless_is_refused(field, value):
+    # eps_final >= 1 declares the start solved; cond_budget < 0 stalls it at
+    # k = 0; a negative or NaN eps_final can never be met
+    inst = gen_elliptope(5, seed=0)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        newton_solve(inst, opts=NewtonOptions(**{field: value}))
+
+
+def test_the_tolerance_bounds_themselves_are_accepted():
+    inst = gen_elliptope(5, seed=0)
+    for opts in (NewtonOptions(eps_final=0.0, max_iter=3),
+                 NewtonOptions(cond_budget=0.0), NewtonOptions(cond_budget=np.inf)):
+        newton_solve(inst, opts=opts)
 
 
 def test_iteration_cap_status():
