@@ -1,7 +1,8 @@
 """Command-line front end: solve, reduce, diagnose, generate, benchmark.
 
-Each subcommand takes only the flags it reads, and every artifact echoes the
-settings that shaped it: the command, seed and library version, the instance
+Each subcommand, in each of its modes, takes only the flags it reads, and
+``--emit`` only the artifacts it writes.  Every artifact echoes the settings
+that shaped it: the command, seed and library version, the instance
 source when the command reads one, and the Newton options only when a Newton
 solve ran.  For a fixed configuration the JSON and trace-CSV artifacts are
 byte-identical across runs; experiment tables additionally carry a wall-clock
@@ -22,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, Iterable, NoReturn
 
 import numpy as np
 
@@ -102,16 +103,30 @@ def _parse_emit(text: str) -> set[str]:
     return parts
 
 
+def _emitted(args: argparse.Namespace, *writes: str) -> set[str]:
+    """The artifact kinds to write: the ``--emit`` subset of ``writes``, all by default."""
+    emit = set(writes) if args.emit is None else args.emit
+    if emit - set(writes):
+        _usage_error(f"--emit {','.join(sorted(emit - set(writes)))}: "
+                     f"{getattr(args, 'suite', args.command)} writes only {','.join(writes)}")
+    return emit
+
+
+def _given(args: argparse.Namespace, flags: Iterable[str]) -> dict[str, Any]:
+    """The value of each of ``flags`` set on the command line; none has a parser default."""
+    return {f: v for f in flags if (v := getattr(args, f[2:].replace("-", "_"))) is not None}
+
+
 #: the flag that sets each Newton option
 _OPTION_FLAGS = {"eps_final": "--eps", "cond_budget": "--cond-budget", "max_iter": "--max-iter"}
+#: the source flags other than --instance, which reads all of them from its file
+_GENERATOR_FLAGS = ("--gen", "--n", "--m", "--sd", "--iips", "--support", "--w-mode")
 
 
 def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
-    opts = NewtonOptions(
-        eps_final=args.eps,
-        cond_budget=args.cond_budget,
-        max_iter=args.max_iter,
-    )
+    """The Newton options: each given flag, and ``NewtonOptions``' default for the rest."""
+    given = _given(args, _OPTION_FLAGS.values())
+    opts = NewtonOptions(**{f: given[flag] for f, flag in _OPTION_FLAGS.items() if flag in given})
     try:
         opts.check()
     except ValueError as exc:
@@ -123,6 +138,8 @@ def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
 
 def _resolve_instance(args: argparse.Namespace) -> BapInstance:
     if args.instance is not None:
+        if unread := _given(args, _GENERATOR_FLAGS):
+            _usage_error(f"{', '.join(unread)}: --instance reads the instance from its file")
         inst = _read_file("--instance", args.instance, load_instance)
         # instance files are untrusted: drop dependent rows up front so the
         # solver sees a surjective map, and reject inconsistent systems here
@@ -134,6 +151,9 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
         return inst
     if args.gen is None:
         _usage_error("either --instance PATH or --gen FAMILY is required")
+    # filled here, not by the parser, so a given --n or --w-mode can be told apart
+    args.n = 10 if args.n is None else args.n
+    args.w_mode = GeneratorSpec.w_mode if args.w_mode is None else args.w_mode
     if args.n < 1:
         _usage_error("--n must be at least 1")
     extras = {
@@ -204,13 +224,14 @@ def _solve_summary(inst: BapInstance, trace: NewtonTrace) -> dict[str, Any]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    emit = _emitted(args, "trace", "report")
     inst = _resolve_instance(args)
     opts = _options_from_args(args)
     trace = newton_solve(inst, opts=opts)
     out = Path(args.out)
-    if "trace" in args.emit:
+    if "trace" in emit:
         _write_text(out / "trace.csv", trace_to_csv(trace))
-    if "report" in args.emit:
+    if "report" in emit:
         report = {"config": _config_echo(args, opts), **_solve_summary(inst, trace)}
         _write_json(out / "report.json", report)
     print(
@@ -221,11 +242,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_fr(args: argparse.Namespace) -> int:
+    emit = _emitted(args, "report")
     inst = _resolve_instance(args)
     chain, final = fr_loop(inst)
     out = Path(args.out)
     report = {"config": _config_echo(args, opts=None), **fr_report(chain, final)}
-    if "report" in args.emit:
+    if "report" in emit:
         _write_json(out / "fr_report.json", report)
         save_instance(final, str(out / "reduced_instance.json"))
     print(
@@ -241,13 +263,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     Writes one trace per round and a report of the rounds, the lifted final
     iterate and, when that point is feasible enough, the rank test there.
     """
+    emit = _emitted(args, "trace", "report")
     inst = _resolve_instance(args)
     opts = _options_from_args(args)
     res = solve_with_reduction(inst, opts)
     out = Path(args.out)
     rounds: list[dict[str, Any]] = []
     for rnd, r in enumerate(res.rounds):
-        if "trace" in args.emit:
+        if "trace" in emit:
             _write_text(out / f"round_{rnd}_trace.csv", trace_to_csv(r.trace))
         entry = {"round": rnd, "n": r.inst.n, "m": r.inst.m, **_trace_summary(r.trace)}
         if r.trace.status != NewtonStatus.SOLVED:
@@ -276,7 +299,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             "reason": f"lifted pf {pf:.3e} exceeds the rank test's tolerance {FEAS_TOL:g}",
             "pf": pf,
         }
-    if "report" in args.emit:
+    if "report" in emit:
         _write_json(out / "report.json", report)
     print(
         f"rounds={len(rounds)} status={trace.status.value} "
@@ -286,8 +309,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    emit = _emitted(args, "report")
+    at_point = args.x_json is not None or args.at_planted
+    if at_point and (unread := _given(args, _OPTION_FLAGS.values())):
+        _usage_error(f"{', '.join(unread)}: --x-json and --at-planted run no Newton solve")
     inst = _resolve_instance(args)
-    opts = _options_from_args(args)
     out = Path(args.out)
     X: np.ndarray | None = None
     if args.x_json is not None:
@@ -302,7 +328,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 break
         if X is None:
             _usage_error("instance metadata has no planted point")
-    report: dict[str, Any] = {"config": _config_echo(args, opts if X is None else None)}
+    opts = None if at_point else _options_from_args(args)
+    report: dict[str, Any] = {"config": _config_echo(args, opts)}
     if X is not None:
         try:
             report["degeneracy"] = is_nondegenerate(inst, X).to_dict()
@@ -321,7 +348,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         report["solve"] = _solve_summary(inst, trace)
         report["crosscheck"] = cc.to_dict()
         report["jacobian_spectrum"] = trace.iterates[-1].eig_J
-    if "report" in args.emit:
+    if "report" in emit:
         _write_json(out / "diagnose.json", report)
     verdict = None
     if report.get("degeneracy"):
@@ -441,6 +468,7 @@ def _suite_cells(suite: str, seeds: int, base_seed: int) -> list[dict[str, Any]]
 
 def _run_singularity_demo(args: argparse.Namespace, opts: NewtonOptions) -> int:
     """The stall-then-repair walk: one planted instance, before/after rows."""
+    emit = _emitted(args, "trace", "table", "report")
     out = Path(args.out)
     inst = gen_planted_noslater(
         15, 7, sd_target=1, iips_target=1, support_size=5, seed=args.seed
@@ -451,7 +479,7 @@ def _run_singularity_demo(args: argparse.Namespace, opts: NewtonOptions) -> int:
         print(f"round 0 ended {status} with no reduction; nothing to repair", file=sys.stderr)
         return EXIT_FAILURE
     first, last = res.rounds[0], res.rounds[-1]
-    if "trace" in args.emit:
+    if "trace" in emit:
         _write_text(out / "before_trace.csv", trace_to_csv(first.trace))
         _write_text(out / "after_trace.csv", trace_to_csv(last.trace))
     md, csv = _table(
@@ -464,10 +492,10 @@ def _run_singularity_demo(args: argparse.Namespace, opts: NewtonOptions) -> int:
             for label, r in (("before", first), ("after", last))
         ],
     )
-    if "table" in args.emit:
+    if "table" in emit:
         _write_text(out / "singularity_demo.md", md)
         _write_text(out / "singularity_demo.csv", csv)
-    if "report" in args.emit:
+    if "report" in emit:
         _write_json(
             out / "singularity_demo.json",
             {
@@ -487,6 +515,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         if args.seeds is not None or args.workers is not None:
             _usage_error("--seeds and --workers apply only to the table suites")
         return _run_singularity_demo(args, opts)
+    emit = _emitted(args, "table", "report")
     out = Path(args.out)
     workers = 1 if args.workers is None else args.workers
     seeds = 20 if args.seeds is None else args.seeds
@@ -502,12 +531,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             c["rows"] = [f.result() for f in futures]
             c["agg"] = _aggregate(c["rows"])
     md, csv, pmd, pcsv = _cells_to_tables(cells)
-    if "table" in args.emit:
+    if "table" in emit:
         _write_text(out / f"{args.suite}.md", md)
         _write_text(out / f"{args.suite}.csv", csv)
         _write_text(out / f"{args.suite}_pct.md", pmd)
         _write_text(out / f"{args.suite}_pct.csv", pcsv)
-    if "report" in args.emit:
+    if "report" in emit:
         payload = {
             "config": _config_echo(args, opts),
             "suite": args.suite,
@@ -547,26 +576,27 @@ def _build_parser() -> argparse.ArgumentParser:
     # each flag is made once, then handed to every subcommand that reads it;
     # parents= would build one more parser per group on every main() call
     add = argparse.ArgumentParser(add_help=False).add_argument
+    # no defaults in the source and Newton groups, so a given flag can be told
+    # from an unset one; NewtonOptions holds the Newton defaults
     source = (
         add("--instance", help="path to an instance JSON file"),
         add("--gen", choices=FAMILIES, help="generate an instance instead"),
-        add("--n", type=int, default=10),
-        add("--m", type=int, default=None),
-        add("--sd", type=int, default=None, help="planted singularity degree"),
-        add("--iips", type=int, default=None, help="planted redundant rows"),
-        add("--support", type=int, default=None, help="certificate support size"),
-        add("--w-mode", default="random", choices=("random", "rank1", "feasible")),
+        add("--n", type=int),
+        add("--m", type=int),
+        add("--sd", type=int, help="planted singularity degree"),
+        add("--iips", type=int, help="planted redundant rows"),
+        add("--support", type=int, help="certificate support size"),
+        add("--w-mode", choices=("random", "rank1", "feasible")),
     )
     # a string default goes through type=int, so a bad SPECTRA_SEED is a usage error
     seed = add("--seed", type=int, default=os.environ.get("SPECTRA_SEED", "0"))
     newton = (
-        add("--eps", type=float, default=1e-13),
-        add("--cond-budget", type=float, default=16.0),
-        add("--max-iter", type=int, default=2000),
+        add("--eps", type=float),
+        add("--cond-budget", type=float),
+        add("--max-iter", type=int),
     )
     out = add("--out", default="out")
-    emit = add("--emit", type=_parse_emit, default={"trace", "report", "table"},
-               help="comma-separated subset of trace,report,table")
+    emit = add("--emit", type=_parse_emit, help="comma-separated subset of trace,report,table")
 
     def command(name: str, func: Callable[[argparse.Namespace], int],
                 *flags: argparse.Action) -> argparse.ArgumentParser:

@@ -368,6 +368,15 @@ def solve_with_reduction(
     solves the reduced problem.  The run ends at the first round that solves
     or finds no certificate, after at most ``inst.n`` reductions.  The last
     round's primal iterate is lifted back to the original coordinates.
+
+    ``inst``'s map must be surjective, as :func:`newton_solve` requires: a
+    dependent row gives round 0's Newton matrix an exact null vector, so the
+    round stops SUSPECTED_DEGENERATE at k = 0, or within a few steps, on a
+    stall the set does not cause, and the run can end there with no
+    reduction, far from the projection.  The CLI prunes
+    ``--instance`` files with :func:`~spectraproj.model.preprocess_surjective`;
+    each reduced instance is pruned by :meth:`BapInstance.restrict
+    <spectraproj.model.BapInstance.restrict>` (through :meth:`FaceChain.restrict`).
     """
     chain = FaceChain.start(inst)
     rounds: list[ReductionRound] = []

@@ -443,6 +443,15 @@ def newton_solve(
     A caller that wants only the projection never pays for them.  Stalled
     and iteration-limit runs form J at every iterate, their last included.
 
+    The map must be surjective (linearly independent rows); the solver does
+    not check.  A dependent row gives J an exact null vector, so cond(J) is
+    1e16 or more, and the stop rule reads that as lost digits and stops
+    SUSPECTED_DEGENERATE at k = 0, far from the projection.  The CLI
+    prunes ``--instance`` files with :func:`~spectraproj.model.preprocess_surjective`,
+    and :meth:`BapInstance.restrict <spectraproj.model.BapInstance.restrict>`
+    prunes each reduced instance; a library caller with dependent rows
+    prunes them the same way first.
+
     Options that leave a status meaningless raise ValueError
     (:meth:`NewtonOptions.check`).
     A residual or Newton matrix with an infinite or NaN entry raises

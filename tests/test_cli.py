@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -32,6 +33,7 @@ from spectraproj.model import (
     load_instance,
     save_instance,
 )
+from spectraproj.ssnewton import NewtonOptions
 from spectraproj.symcore import svec
 
 
@@ -627,27 +629,61 @@ def test_singularity_walk_without_a_stall_has_nothing_to_repair(tmp_path, capsys
 _SOURCE = [("--instance", "problem.json"), ("--gen", "Elliptope"), ("--n", "5"), ("--m", "3"),
            ("--sd", "1"), ("--iips", "1"), ("--support", "3"), ("--w-mode", "rank1")]
 _NEWTON = [("--eps", "0.1"), ("--cond-budget", "8"), ("--max-iter", "5")]
-_UNREAD = (
-    [(("fr", "--gen", "Sd2Chain"), flag) for flag in _NEWTON]
-    + [(("gen", "--gen", "Elliptope", "--n", "4"), flag) for flag in _NEWTON + [("--emit", "report")]]
-    + [(("experiment", "noslater_table", "--seeds", "1"), flag) for flag in _SOURCE]
-    + [(("experiment", "singularity_demo"), ("--seeds", "3")),
-       (("experiment", "singularity_demo"), ("--workers", "2")),
-       # --x-json used to win silently over --at-planted
-       (("diagnose", "--gen", "Elliptope", "--n", "3", "--x-json", "x.json"), ("--at-planted",))]
-)
+_UNREAD = [
+    pytest.param(argv, flag, id=argv[0] + flag[0])
+    for argv, flag in (
+        [(("fr", "--gen", "Sd2Chain"), flag) for flag in _NEWTON]
+        + [(("gen", "--gen", "Elliptope", "--n", "4"), flag)
+           for flag in _NEWTON + [("--emit", "report")]]
+        + [(("experiment", "noslater_table", "--seeds", "1"), flag) for flag in _SOURCE]
+        + [(("experiment", "singularity_demo"), ("--seeds", "3")),
+           (("experiment", "singularity_demo"), ("--workers", "2")),
+           # --x-json used to win silently over --at-planted
+           (("diagnose", "--gen", "Elliptope", "--n", "3", "--x-json", "x.json"),
+            ("--at-planted",))]
+    )
+] + [
+    # --instance reads the whole instance from its file
+    pytest.param(("solve", "--instance", "problem.json"), flag, id="solve-instance" + flag[0])
+    for flag in _SOURCE[1:]
+] + [
+    pytest.param((cmd, "--instance", "problem.json"), ("--gen", "Elliptope"),
+                 id=cmd + "-instance--gen")
+    for cmd in ("fr", "pipeline", "diagnose", "gen")
+] + [
+    # the point modes of diagnose run no Newton solve
+    pytest.param(("diagnose", *point), flag, id="diagnose" + point[2] + flag[0])
+    for point in (("--gen", "Elliptope", "--x-json", "x.json", "--n", "3"),
+                  ("--gen", "VontopePost", "--at-planted", "--n", "3", "--w-mode", "rank1"))
+    for flag in _NEWTON
+] + [
+    pytest.param(argv, ("--emit", kind), id=f"{argv[0]}-emit-{kind}")
+    for argv, kind in [
+        (("solve", "--gen", "Elliptope", "--n", "3"), "table"),
+        (("fr", "--gen", "Sd2Chain"), "trace"),
+        (("fr", "--gen", "Sd2Chain"), "table"),
+        (("pipeline", "--gen", "Sd2Chain"), "table"),
+        (("diagnose", "--gen", "Elliptope", "--n", "3"), "trace"),
+        (("diagnose", "--gen", "Elliptope", "--n", "3"), "table"),
+        (("experiment", "noslater_table", "--seeds", "1"), "trace"),
+    ]
+]
 
 
-@pytest.mark.parametrize("argv, flag", _UNREAD, ids=[argv[0] + flag[0] for argv, flag in _UNREAD])
+@pytest.mark.parametrize("argv, flag", _UNREAD)
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
     tmp_path, capsys, monkeypatch, argv, flag
 ):
     monkeypatch.chdir(tmp_path)
     Path("x.json").write_text(json.dumps({"X": np.eye(3).tolist()}))
+    # a loadable file, so the error is the flag's and not the file's
+    save_instance(generate(GeneratorSpec(family="Elliptope", n=3)), "problem.json")
     with pytest.raises(SystemExit) as exc:
         _run(*argv, *flag, "--out", "o")
     assert exc.value.code == 2
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert (" ".join(flag) if flag[0] == "--emit" else flag[0]) in err
     assert not Path("o").exists()
 
 
@@ -669,3 +705,43 @@ def test_config_echoes_newton_options_only_where_a_solve_ran(tmp_path, argv, rep
     config = json.loads((out / report).read_text())["config"]
     assert ("options" in config) is solved
     assert config["generator"]["family"] == argv[2]
+
+
+_UNSET_GENERATOR = {"m": None, "w_mode": "random", "sd": None, "iips": None, "support": None}
+_TABLES = {"noslater_table" + tail for tail in (".md", ".csv", "_pct.md", "_pct.csv", ".json")}
+_DEMO = {"before_trace.csv", "after_trace.csv"} | {
+    "singularity_demo" + tail for tail in (".md", ".csv", ".json")}
+
+
+@pytest.mark.parametrize(
+    "argv, written, report, source",
+    [
+        (("solve", "--gen", "Elliptope", "--n", "4"), {"trace.csv", "report.json"}, "report.json",
+         {"generator": {"family": "Elliptope", "n": 4, **_UNSET_GENERATOR}}),
+        (("fr", "--gen", "Sd2Chain"), {"fr_report.json", "reduced_instance.json"},
+         "fr_report.json", {"generator": {"family": "Sd2Chain", "n": 10, **_UNSET_GENERATOR}}),
+        (("pipeline", "--instance", "problem.json"),
+         {"round_0_trace.csv", "round_1_trace.csv", "round_2_trace.csv", "report.json"},
+         "report.json", {"instance": "problem.json"}),
+        (("diagnose", "--gen", "Elliptope", "--n", "3"), {"diagnose.json"}, "diagnose.json",
+         {"generator": {"family": "Elliptope", "n": 3, **_UNSET_GENERATOR}}),
+        (("experiment", "noslater_table", "--seeds", "1"), _TABLES, "noslater_table.json", {}),
+        (("experiment", "singularity_demo"), _DEMO, "singularity_demo.json", {}),
+        # a given Newton flag replaces its own default and no other
+        (("experiment", "singularity_demo", "--max-iter", "500"), _DEMO, "singularity_demo.json",
+         {"options": {**dataclasses.asdict(NewtonOptions()), "max_iter": 500}}),
+    ],
+    ids=["solve", "fr", "pipeline", "diagnose", "table", "singularity-demo", "max-iter"],
+)
+def test_with_no_emit_a_command_writes_everything_it_writes_and_echoes_the_defaults(
+    tmp_path, monkeypatch, argv, written, report, source
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPECTRA_SEED", raising=False)
+    save_instance(fixture_sd2_chain(), "problem.json")
+    assert _run(*argv, "--out", "o") == EXIT_OK
+    assert {p.name for p in Path("o").iterdir()} == written
+    config = json.loads((Path("o") / report).read_text())["config"]
+    options = {} if argv[0] == "fr" else {"options": dataclasses.asdict(NewtonOptions())}
+    assert config == {"command": argv[0], "version": spectraproj.__version__, "seed": 0,
+                      **options, **source}
