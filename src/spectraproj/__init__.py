@@ -66,7 +66,6 @@ from .facialred import (
 from .degeneracy import (
     CrosscheckReport,
     DegeneracyReport,
-    build_L,
     is_nondegenerate,
     jacobian_degeneracy_crosscheck,
 )

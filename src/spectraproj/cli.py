@@ -121,6 +121,8 @@ def _given(args: argparse.Namespace, flags: Iterable[str]) -> dict[str, Any]:
 _OPTION_FLAGS = {"eps_final": "--eps", "cond_budget": "--cond-budget", "max_iter": "--max-iter"}
 #: the source flags other than --instance, which reads all of them from its file
 _GENERATOR_FLAGS = ("--gen", "--n", "--m", "--sd", "--iips", "--support", "--w-mode")
+#: the families that load a checked-in instance and so read no --n
+_FIXTURE_FAMILIES = ("Sd2Chain", "DualGapFace")
 
 
 def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
@@ -151,11 +153,16 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
         return inst
     if args.gen is None:
         _usage_error("either --instance PATH or --gen FAMILY is required")
-    # filled here, not by the parser, so a given --n or --w-mode can be told apart
-    args.n = 10 if args.n is None else args.n
+    # filled here, not by the parser, so a given --n or --w-mode can be told
+    # apart; a fixture has its own fixed order, so it takes no n at all
+    if args.gen in _FIXTURE_FAMILIES:
+        if args.n is not None:
+            _usage_error(f"--n does not apply to {args.gen}, a fixture of fixed order")
+    else:
+        args.n = 10 if args.n is None else args.n
+        if args.n < 1:
+            _usage_error("--n must be at least 1")
     args.w_mode = GeneratorSpec.w_mode if args.w_mode is None else args.w_mode
-    if args.n < 1:
-        _usage_error("--n must be at least 1")
     extras = {
         key: val
         for key, val in (("sd", args.sd), ("iips", args.iips), ("support", args.support))

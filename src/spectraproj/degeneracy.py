@@ -2,11 +2,19 @@
 
 A feasible X is nondegenerate when the constraint matrices, restricted to the
 eigenbasis of X and with the block untouched by the face structure discarded,
-still span all of R^m.  That is a rank test on a tall matrix L assembled from
-V' A_i V and V' A_i Vbar blocks, with V the positive eigenspace of X.  The
-same question has a dual reading: at an optimum satisfying strict
-complementarity, degeneracy of X is equivalent to singularity of the Newton
-matrix of the projection root function, which is what the crosscheck below
+still span all of R^m.  That is a rank test on the matrix L whose column i
+stacks svec(V' A_i V) over sqrt(2) vec(V' A_i Vbar), with V the positive
+eigenspace of X and Vbar the rest.  The test never forms L: it takes the
+Gram factor of the Newton matrix (:func:`.ssnewton._leading_gram_factor`)
+with every mixed weight omega set to 1.  Call that factor K_1 and the Newton
+matrix's own K_omega, both on the split of one matrix.  Then L'L = K_1 K_1',
+J = K_omega K_omega' and K_omega = K_1 D, with D diagonal and its entries 1
+or sqrt(omega) > 0, so "J singular" and "X degenerate" are one statement.
+The code compares two splits, though.  The Newton matrix splits its iterate
+Y at the relative threshold 1e-10 (``symcore.DEFAULT_ZERO_TOL``) and folds
+zeros into the negative bucket; the rank test splits X at ``RANK_TOL`` =
+1e-8.  At an optimum with strict complementarity, X = P(Y) and the two splits
+see the same positive eigenspace, which is what the crosscheck below
 exercises.
 """
 
@@ -18,8 +26,8 @@ from typing import Any
 import numpy as np
 
 from .model import BapInstance, scaled_primal_residual
-from .ssnewton import NewtonTrace
-from .symcore import SpectralDecomp, eig_sym, svec, tri_len
+from .ssnewton import NewtonTrace, _leading_gram_factor
+from .symcore import SpectralDecomp, eig_sym, tri_len
 
 RANK_TOL = 1e-8
 #: largest scaled residual ||A(X) - b|| / (1 + ||b||) the rank test accepts
@@ -64,37 +72,6 @@ def _feasibility_guard(inst: BapInstance, X: np.ndarray) -> SpectralDecomp:
     return dec
 
 
-def build_L(inst: BapInstance, X: np.ndarray) -> np.ndarray:
-    """Nondegeneracy test matrix at a feasible X.
-
-    Column i stacks svec(V' A_i V) over sqrt(2) * vec(V' A_i Vbar), where V
-    spans the positive eigenspace of X (relative threshold ``RANK_TOL``) and
-    Vbar the rest; the block that the definition zeroes out is omitted.  The
-    scaling keeps the stacked column an isometric image of the two blocks.
-    X must be psd and satisfy the constraints to ``FEAS_TOL``.
-    """
-    L, _, _ = _build_L_split(inst, X)
-    return L
-
-
-def _build_L_split(
-    inst: BapInstance, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dec = _feasibility_guard(inst, X)
-    r = dec.p
-    V = dec.U[:, :r]
-    Vbar = dec.U[:, r:]
-    # both parts of each column from one pass over the blocks of A_i
-    t = tri_len(r)
-    Lt = np.empty((inst.m, t + r * (inst.n - r)))
-    for i, block in inst.map._matrix_blocks():
-        k = len(block)
-        VB = V.T @ block
-        Lt[i : i + k, :t] = svec(VB @ V)
-        Lt[i : i + k, t:] = np.sqrt(2.0) * (VB @ Vbar).reshape(k, r * (inst.n - r))
-    return Lt.T, V, Vbar
-
-
 def _rank(sv: np.ndarray) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
@@ -106,9 +83,21 @@ def is_nondegenerate(
     X: np.ndarray,
     Z: np.ndarray | None = None,
 ) -> DegeneracyReport:
-    """Rank verdict at a feasible X, with strict complementarity when Z is given."""
-    L, V, _ = _build_L_split(inst, X)
-    sv = np.linalg.svd(L, compute_uv=False)
+    """Rank verdict at a feasible X, with strict complementarity when Z is given.
+
+    X must be psd and satisfy the constraints to ``FEAS_TOL``; its rank r
+    counts the eigenvalues above ``RANK_TOL`` * max(1, |lambda|_max).
+    ``singular_values`` are those of L (module docstring).
+    """
+    dec = _feasibility_guard(inst, X)
+    r, n = dec.p, dec.n
+    # on the spectrum (1, ..., 1, 0, ..., 0) every mixed weight omega is 1
+    unit = np.repeat([1.0, 0.0], [r, n - r])
+    K = _leading_gram_factor(inst.map, dec.U, unit, r)
+    # K holds all r^2 entries of each V' A_i V where L holds its tri_len(r),
+    # so K can have more singular values than L: the extra ones are rounding.
+    # K' is column-major and shaped like L, which LAPACK takes without a copy
+    sv = np.linalg.svd(K.T, compute_uv=False)[: tri_len(r) + r * (n - r)]
     rank_L = _rank(sv)
     full = rank_L == inst.m
     margin = float(sv[inst.m - 1] / sv[0]) if full and sv.size >= inst.m else 0.0
@@ -117,14 +106,14 @@ def is_nondegenerate(
     if Z is not None:
         eZ = np.linalg.eigvalsh(0.5 * (Z + Z.T))
         rank_Z = int(np.sum(eZ > RANK_TOL * max(1.0, abs(eZ[-1]))))
-        sc = V.shape[1] + rank_Z == inst.n
+        sc = r + rank_Z == n
     return DegeneracyReport(
         rank_L=rank_L,
         m=inst.m,
         verdict="Nondegenerate" if full else "Degenerate",
         singular_values=sv,
         margin=margin,
-        rank_X=V.shape[1],
+        rank_X=r,
         rank_Z=rank_Z,
         strict_complementarity=sc,
     )
@@ -148,7 +137,8 @@ class CrosscheckReport:
             d = dict.fromkeys(
                 ("rank_L", "m", "verdict", "sc", "sigma_L", "margin", "rank_X", "rank_Z")
             )
-        d["cond_J"] = None if self.sigma_ratio_J == 0 else 1.0 / self.sigma_ratio_J
+        # rounding can leave lambda_min(J) just below zero: that J is singular too
+        d["cond_J"] = None if self.sigma_ratio_J <= 0 else 1.0 / self.sigma_ratio_J
         d["jacobian_nonsingular"] = self.jacobian_nonsingular
         d["agree"] = self.agree
         d["inconclusive"] = self.inconclusive

@@ -49,7 +49,7 @@ class GeneratorSpec:
     """Declarative description of one instance."""
 
     family: str
-    n: int
+    n: int | None  # Sd2Chain and DualGapFace have a fixed order and read none
     m: int | None = None
     seed: int = 0
     w_mode: str = "random"

@@ -129,6 +129,10 @@ def _leading_gram_factor(
     most :data:`.symcore.BLOCK_DOUBLES` doubles (one row's n^2 where that is
     larger), so the peak is the factor plus two blocks, and each row's
     products are those of one GEMM over the whole stack.
+
+    Two callers: :func:`_jacobian_from_dec`, on either side of the split of
+    Y, and :func:`.degeneracy.is_nondegenerate`, which passes the unit
+    spectrum (ones, then zeros) so that every omega is 1 and K K' = L'L.
     """
     m, n = amap.m, amap.n
     G = np.empty((m, n, s))

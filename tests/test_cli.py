@@ -412,6 +412,19 @@ def test_diagnose_skipped_rank_test_gives_no_verdict(tmp_path, capsys):
     assert "rank test skipped" in cc["reason"]
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_diagnose_reads_a_jacobian_rounded_below_zero_as_singular(tmp_path, seed):
+    # at these seeds lambda_min(J) / lambda_max(J) of the terminal Newton
+    # matrix rounds to -7e-17 and -5e-17; a singular J has no condition number
+    out = tmp_path / "diag"
+    assert _run(
+        "diagnose", "--gen", "VontopePost", "--n", "3", "--w-mode", "rank1", "--seed", seed,
+        "--out", str(out),
+    ) == EXIT_OK
+    cc = json.loads((out / "diagnose.json").read_text())["crosscheck"]
+    assert cc["cond_J"] is None and cc["jacobian_nonsingular"] is False
+
+
 def test_diagnose_at_planted_vertex(tmp_path, capsys):
     out = tmp_path / "diag"
     assert _run(
@@ -651,6 +664,10 @@ _UNREAD = [
                  id=cmd + "-instance--gen")
     for cmd in ("fr", "pipeline", "diagnose", "gen")
 ] + [
+    # a fixture has a fixed order
+    pytest.param((cmd, "--gen", fam), ("--n", "7"), id=f"{cmd}-{fam}--n")
+    for cmd, fam in (("fr", "Sd2Chain"), ("pipeline", "DualGapFace"), ("gen", "Sd2Chain"))
+] + [
     # the point modes of diagnose run no Newton solve
     pytest.param(("diagnose", *point), flag, id="diagnose" + point[2] + flag[0])
     for point in (("--gen", "Elliptope", "--x-json", "x.json", "--n", "3"),
@@ -719,7 +736,7 @@ _DEMO = {"before_trace.csv", "after_trace.csv"} | {
         (("solve", "--gen", "Elliptope", "--n", "4"), {"trace.csv", "report.json"}, "report.json",
          {"generator": {"family": "Elliptope", "n": 4, **_UNSET_GENERATOR}}),
         (("fr", "--gen", "Sd2Chain"), {"fr_report.json", "reduced_instance.json"},
-         "fr_report.json", {"generator": {"family": "Sd2Chain", "n": 10, **_UNSET_GENERATOR}}),
+         "fr_report.json", {"generator": {"family": "Sd2Chain", "n": None, **_UNSET_GENERATOR}}),
         (("pipeline", "--instance", "problem.json"),
          {"round_0_trace.csv", "round_1_trace.csv", "round_2_trace.csv", "report.json"},
          "report.json", {"instance": "problem.json"}),

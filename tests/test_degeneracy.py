@@ -3,8 +3,6 @@ import pytest
 
 from spectraproj.degeneracy import (
     RANK_TOL,
-    _build_L_split,
-    build_L,
     is_nondegenerate,
     jacobian_degeneracy_crosscheck,
 )
@@ -23,10 +21,12 @@ from spectraproj.symcore import smat, svec, tri_len
 def test_L_shape_and_rank_bound():
     inst = gen_random_slater(6, 5, seed=0)
     Xhat = smat(np.asarray(inst.meta["planted"]["xhat"]))
-    L = build_L(inst, Xhat)
-    # Xhat is positive definite, so the V block is everything
-    assert L.shape == (tri_len(6), 5)
-    assert np.linalg.matrix_rank(L) <= 5
+    rep = is_nondegenerate(inst, Xhat)
+    # Xhat is positive definite, so the V block is everything and L is
+    # tri_len(6)-by-5: five singular values, and a rank of at most five
+    assert rep.rank_X == 6
+    assert rep.singular_values.shape == (5,)
+    assert rep.rank_L <= 5
 
 
 def test_interior_points_are_nondegenerate():
@@ -169,18 +169,19 @@ def _whole_stack_L(inst, V, Vbar):
     return np.hstack([top, mid]).T
 
 
-@pytest.mark.parametrize("m, r", [(150, 20), (150, 0), (150, 60), (0, 20)])
-def test_streamed_L_is_bitwise_the_whole_stack_one(m, r):
-    # m * n^2 is above one block at m = 150 (blocks of 72 rows, the last of 6)
-    n = 60
-    rng = np.random.default_rng(m + r)
+@pytest.mark.parametrize("n, r, m", [(6, 5, 25), (6, 6, 30), (8, 3, 12), (5, 0, 4)])
+def test_sigma_L_are_the_singular_values_of_L(n, r, m):
+    # (6, 5, 25): L is 20-by-25 and the factor 25-by-30, so the factor has
+    # five more singular values than L, all of them rounding
+    rng = np.random.default_rng(10 * n + r)
     amap = LinearMap(n=n, rows=rng.standard_normal((m, tri_len(n))))
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     X = (Q[:, :r] * np.linspace(2.0, 1.0, r)) @ Q[:, :r].T
     inst = BapInstance(map=amap, b=amap.apply(X), W=np.eye(n))
-    L, V, Vbar = _build_L_split(inst, X)
-    assert V.shape == (n, r)
-    expected = _whole_stack_L(inst, V, Vbar)
-    assert L.shape == expected.shape == (tri_len(r) + r * (n - r), m)
-    assert L.T.flags.c_contiguous and L.tobytes() == expected.tobytes()
-    assert (amap._mats is None) == (m > 0)
+    rep = is_nondegenerate(inst, X)
+    assert rep.rank_X == r
+    sv = np.linalg.svd(_whole_stack_L(inst, Q[:, :r], Q[:, r:]), compute_uv=False)
+    assert rep.singular_values.shape == sv.shape == (min(m, tri_len(r) + r * (n - r)),)
+    if sv.size:
+        assert np.max(np.abs(rep.singular_values - sv)) <= 1e-13 * sv[0]
+    assert rep.rank_L == min(m, sv.size) and (rep.verdict == "Nondegenerate") == (sv.size >= m)

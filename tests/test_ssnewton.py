@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 
 from spectraproj import model, ssnewton, symcore
+from spectraproj.cli import _suite_cells
+from spectraproj.degeneracy import _rank
 from spectraproj.instances import (
     FAMILIES,
     GeneratorSpec,
@@ -372,10 +374,14 @@ def _one_shot_gram_factor(mats, V, lam, s):
     return G.reshape(m, n * s)
 
 
-@pytest.mark.parametrize("p", [25, 45])
-def test_blocked_gram_factor_is_bitwise_the_one_shot_factor(p):
-    n, m = 60, 300
-    amap = gen_random_slater(n, m, seed=2).map
+@pytest.mark.parametrize(
+    "m, p", [(300, 25), (300, 45), (300, 0), (0, 25)], ids=["25", "45", "s0", "m0"]
+)
+def test_blocked_gram_factor_is_bitwise_the_one_shot_factor(m, p):
+    # m = 300 streams 4 blocks of 72 rows and a last one of 12; the rank test
+    # asks for s = 0 at X = 0, and a map can have no rows at all
+    n = 60
+    amap = LinearMap(n=n, rows=gen_random_slater(n, 300, seed=2).map.rows[:m])
     lam = np.concatenate([np.linspace(3.0, 0.5, p), np.linspace(-0.5, -2.0, n - p)])
     dec = _point_with_spectrum(lam, np.random.default_rng(1))
     mats = smat(amap.rows)  # a test-local whole stack; the map keeps none
@@ -383,11 +389,29 @@ def test_blocked_gram_factor_is_bitwise_the_one_shot_factor(p):
         V, w, s = dec.U, dec.lam, p
     else:
         V, w, s = dec.U[:, ::-1], -dec.lam[::-1], n - p
-    step = BLOCK_DOUBLES // (n * n)
-    assert m > step and m % step
+    assert 300 % (BLOCK_DOUBLES // (n * n)) == 12
     K = _leading_gram_factor(amap, V, w, s)
-    assert amap._mats is None
+    assert (amap._mats is None) == (m > 0)  # a stack within one block is cached
+    assert K.shape == (m, n * s)
     assert K.tobytes() == _one_shot_gram_factor(mats, V, w, s).tobytes()
+
+
+@pytest.mark.parametrize("suite", ["slater_table", "noslater_table", "ellip_vontope_table"])
+def test_newton_factor_and_unit_weight_factor_have_one_rank(suite):
+    # J = K_w K_w' and L'L = K_1 K_1' with K_w = K_1 D, D diagonal and
+    # positive: at the final split of Y of every solve of a table suite both
+    # factors have the same numerical rank
+    cells = _suite_cells(suite, 2, 0)
+    for make in (make for cell in cells for make in cell["makers"]):
+        inst = make()
+        trace = newton_solve(inst)
+        dec = eig_sym(inst.W + inst.map.adjoint(trace.triple.y))
+        n, p = dec.n, dec.p
+        unit = np.repeat([1.0, 0.0], [p, n - p])
+        K_w = _leading_gram_factor(inst.map, dec.U, dec.lam, p)
+        K_1 = _leading_gram_factor(inst.map, dec.U, unit, p)
+        sv_w, sv_1 = (np.linalg.svd(K, compute_uv=False) for K in (K_w, K_1))
+        assert _rank(sv_w) == _rank(sv_1), inst.meta.get("family")
 
 
 @pytest.mark.parametrize("seed", range(4))
