@@ -9,7 +9,7 @@ Subpackage map:
 * :mod:`.symcore`    symmetric-matrix kernel (stack-aware svec/smat, spectral splits, projections)
 * :mod:`.model`      problem data, residuals, duality, instance files
 * :mod:`.ssnewton`   the regularized semismooth Newton solver and its trace
-* :mod:`.facialred`  certificates, the facial-reduction loop, solve with reduction
+* :mod:`.facialred`  certificates and the one facial-reduction loop, with or without Newton
 * :mod:`.degeneracy` nondegeneracy rank test and the Jacobian crosscheck
 * :mod:`.instances`  generators and closed-form fixtures
 * :mod:`.cli`        command-line front end
@@ -37,7 +37,6 @@ from .model import (
     preprocess_surjective,
     primal_objective,
     residual_F,
-    residual_F_face,
     save_instance,
 )
 from .ssnewton import (
@@ -56,7 +55,6 @@ from .facialred import (
     FaceCollapsedError,
     ReductionResult,
     certificate_from_stall,
-    check_independence,
     fr_loop,
     fr_report,
     fr_step,

@@ -32,6 +32,7 @@ from .degeneracy import FEAS_TOL, is_nondegenerate, jacobian_degeneracy_crossche
 from .facialred import FaceCollapsedError, fr_loop, fr_report, solve_with_reduction
 from .instances import (
     FAMILIES,
+    FIXTURE_FAMILIES,
     NOSLATER_SUITE,
     GeneratorSpec,
     gen_elliptope,
@@ -121,8 +122,6 @@ def _given(args: argparse.Namespace, flags: Iterable[str]) -> dict[str, Any]:
 _OPTION_FLAGS = {"eps_final": "--eps", "cond_budget": "--cond-budget", "max_iter": "--max-iter"}
 #: the source flags other than --instance, which reads all of them from its file
 _GENERATOR_FLAGS = ("--gen", "--n", "--m", "--sd", "--iips", "--support", "--w-mode")
-#: the families that load a checked-in instance and so read no --n
-_FIXTURE_FAMILIES = ("Sd2Chain", "DualGapFace")
 
 
 def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
@@ -155,7 +154,7 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
         _usage_error("either --instance PATH or --gen FAMILY is required")
     # filled here, not by the parser, so a given --n or --w-mode can be told
     # apart; a fixture has its own fixed order, so it takes no n at all
-    if args.gen in _FIXTURE_FAMILIES:
+    if args.gen in FIXTURE_FAMILIES:
         if args.n is not None:
             _usage_error(f"--n does not apply to {args.gen}, a fixture of fixed order")
     else:

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .model import BapInstance, residual_F_face
+from .model import BapInstance
 from .ssnewton import NewtonOptions, NewtonStatus, NewtonTrace, newton_solve
 from .ssnewton import _dir_deriv_from_dec
 from .symcore import SpectralDecomp, eig_sym, svec, tri_len
@@ -109,20 +109,28 @@ class FaceChain:
 
 @dataclass
 class ReductionRound:
-    """One Newton solve of a reduction run and the reduction that followed it."""
+    """One round of a reduction run: its Newton solve and the reduction that followed.
+
+    ``trace`` is None when the run solves no round (``newton=False``, as in
+    :func:`fr_loop`); ``step`` is None on the last round.
+    """
 
     inst: BapInstance
-    trace: NewtonTrace
-    step: FrStep | None      # None on the last round
+    trace: NewtonTrace | None
+    step: FrStep | None
 
 
 @dataclass
 class ReductionResult:
-    """Outcome of :func:`solve_with_reduction`."""
+    """Outcome of :func:`solve_with_reduction`.
+
+    ``X`` is the last round's primal iterate lifted back, V X V', and None
+    when no round solved (``newton=False``).
+    """
 
     rounds: list[ReductionRound]
     chain: FaceChain
-    X: np.ndarray            # last round's primal iterate lifted: V X V'
+    X: np.ndarray | None
 
 
 def _aux_residual(inst: BapInstance, lam: np.ndarray) -> tuple[np.ndarray, SpectralDecomp]:
@@ -344,21 +352,16 @@ def fr_step(inst: BapInstance, cert: AuxCertificate) -> tuple[BapInstance, np.nd
 def fr_loop(inst: BapInstance) -> tuple[FaceChain, BapInstance]:
     """Alternate cold certificate search and face restriction until none is found.
 
-    At most ``inst.n`` rounds.  Returns the composed chain and the final
-    reduced instance, on which strict feasibility is expected to hold.
+    :func:`solve_with_reduction` with the Newton round off, so at most
+    ``inst.n`` reductions.  Returns the composed chain and the final reduced
+    instance, on which strict feasibility is expected to hold.
     """
-    chain = FaceChain.start(inst)
-    current = inst
-    for _ in range(inst.n):
-        cert = solve_aux_gauss_newton(current)
-        if cert is None:
-            break
-        current = chain.restrict(current, cert)
-    return chain, current
+    res = solve_with_reduction(inst, newton=False)
+    return res.chain, res.rounds[-1].inst
 
 
 def solve_with_reduction(
-    inst: BapInstance, opts: NewtonOptions | None = None
+    inst: BapInstance, opts: NewtonOptions | None = None, *, newton: bool = True
 ) -> ReductionResult:
     """Solve; on every stall, restrict to the face the stall exposes and solve again.
 
@@ -368,6 +371,11 @@ def solve_with_reduction(
     solves the reduced problem.  The run ends at the first round that solves
     or finds no certificate, after at most ``inst.n`` reductions.  The last
     round's primal iterate is lifted back to the original coordinates.
+
+    With ``newton=False`` no round solves and ``opts`` is not read: each
+    round searches cold (:func:`solve_aux_gauss_newton` with no warm start),
+    its ``trace`` is None, and so is the result's ``X``.  That is the
+    certificate-only loop of :func:`fr_loop`.
 
     ``inst``'s map must be surjective, as :func:`newton_solve` requires: a
     dependent row gives round 0's Newton matrix an exact null vector, so the
@@ -382,46 +390,18 @@ def solve_with_reduction(
     rounds: list[ReductionRound] = []
     current = inst
     while True:
-        trace = newton_solve(current, opts=opts)
+        trace = newton_solve(current, opts=opts) if newton else None
         cert = None
-        if trace.status != NewtonStatus.SOLVED and chain.sd_hat < inst.n:
-            lam0 = certificate_from_stall(trace, current)
+        if chain.sd_hat < inst.n and (trace is None or trace.status != NewtonStatus.SOLVED):
+            lam0 = None if trace is None else certificate_from_stall(trace, current)
             cert = solve_aux_gauss_newton(current, lam0=lam0)
+        rounds.append(ReductionRound(current, trace, None))
         if cert is None:
-            rounds.append(ReductionRound(current, trace, None))
             break
-        reduced = chain.restrict(current, cert)
-        rounds.append(ReductionRound(current, trace, chain.steps[-1]))
-        current = reduced
-    return ReductionResult(rounds, chain, X=chain.V @ trace.triple.X @ chain.V.T)
-
-
-def check_independence(
-    chain: FaceChain,
-    inst: BapInstance | None = None,
-    y_root: np.ndarray | None = None,
-) -> bool:
-    """Verify that the lifted certificates are linearly independent.
-
-    When the original instance and a root of the face-restricted residual are
-    supplied, additionally verify that shifting the root by any chain
-    certificate keeps the face-restricted residual at zero (to 1e-9 relative
-    to 1 + ||b||).
-    """
-    if not chain.steps:
-        return True
-    L = np.array([s.lam_lifted for s in chain.steps])
-    sv = np.linalg.svd(L, compute_uv=False)
-    rank = int(np.sum(sv > 1e-8 * sv[0]))
-    if rank != len(chain.steps):
-        return False
-    if inst is not None and y_root is not None:
-        b_scale = 1.0 + np.linalg.norm(inst.b)
-        for s in chain.steps:
-            F, _ = residual_F_face(inst, np.asarray(y_root) + s.lam_lifted, chain.V)
-            if np.linalg.norm(F) > 1e-9 * b_scale:
-                return False
-    return True
+        current = chain.restrict(current, cert)
+        rounds[-1].step = chain.steps[-1]
+    X = None if trace is None else chain.V @ trace.triple.X @ chain.V.T
+    return ReductionResult(rounds, chain, X)
 
 
 def fr_report(chain: FaceChain, final_inst: BapInstance) -> dict[str, Any]:

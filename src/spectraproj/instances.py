@@ -40,6 +40,8 @@ FAMILIES = (
     "Sd2Chain",
     "DualGapFace",
 )
+#: the families that load a checked-in instance of fixed order, so take no n
+FIXTURE_FAMILIES = ("Sd2Chain", "DualGapFace")
 
 _FAMILY_CODE = {name: i + 1 for i, name in enumerate(FAMILIES)}
 
@@ -49,7 +51,7 @@ class GeneratorSpec:
     """Declarative description of one instance."""
 
     family: str
-    n: int | None  # Sd2Chain and DualGapFace have a fixed order and read none
+    n: int | None  # None for the FIXTURE_FAMILIES, which have a fixed order
     m: int | None = None
     seed: int = 0
     w_mode: str = "random"
@@ -106,11 +108,13 @@ def generate(spec: GeneratorSpec) -> BapInstance:
     fam = spec.family
     ex = spec.extras
     # a setting the family would ignore must not reach the config echo unused
+    if spec.n is not None and fam in FIXTURE_FAMILIES:
+        raise ValueError(f"n does not apply to {fam}, a fixture of fixed order")
     if spec.m is not None and fam not in ("RandomSlater", "PlantedNoSlater"):
         raise ValueError(f"m applies only to RandomSlater and PlantedNoSlater, not {fam}")
     if ex and fam != "PlantedNoSlater":
         raise ValueError(f"{', '.join(ex)} applies only to PlantedNoSlater, not {fam}")
-    if spec.w_mode != "random" and fam in ("DualUnattained", "Sd2Chain", "DualGapFace"):
+    if spec.w_mode != "random" and fam in ("DualUnattained", *FIXTURE_FAMILIES):
         raise ValueError("w_mode applies only to Elliptope, VontopePre, VontopePost, "
                          f"RandomSlater and PlantedNoSlater, not {fam}")
     if fam == "Elliptope":

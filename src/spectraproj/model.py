@@ -19,7 +19,6 @@ import scipy.linalg
 from .symcore import (
     BLOCK_DOUBLES,
     diag_positions,
-    project_face,
     project_psd,
     smat,
     svec,
@@ -311,14 +310,6 @@ def preprocess_surjective(
 def residual_F(inst: BapInstance, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Root-function value F(y) = A(P(W + A*y)) - b and the projected point X."""
     X, _ = project_psd(inst.W + inst.map.adjoint(y))
-    return inst.map.apply(X) - inst.b, X
-
-
-def residual_F_face(
-    inst: BapInstance, y: np.ndarray, V: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Face-restricted root function: projection constrained to the face spanned by V."""
-    X = project_face(inst.W + inst.map.adjoint(y), V)
     return inst.map.apply(X) - inst.b, X
 
 

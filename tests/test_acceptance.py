@@ -14,7 +14,6 @@ from spectraproj import ssnewton
 from spectraproj.degeneracy import jacobian_degeneracy_crosscheck
 from spectraproj.facialred import (
     certificate_from_stall,
-    check_independence,
     fr_loop,
     fr_step,
     solve_aux_gauss_newton,
@@ -36,7 +35,6 @@ from spectraproj.model import (
     kkt_residuals,
     primal_objective,
     residual_F,
-    residual_F_face,
 )
 from spectraproj.ssnewton import (
     NewtonStatus,
@@ -49,6 +47,8 @@ from spectraproj.symcore import (
     project_psd,
     smat,
 )
+
+from oracles import check_independence, residual_F_face
 
 
 def _line(name: str, ok: bool, detail: str) -> None:

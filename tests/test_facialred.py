@@ -8,7 +8,6 @@ from spectraproj.facialred import (
     _aux_jacobian,
     _aux_residual,
     certificate_from_stall,
-    check_independence,
     fr_loop,
     fr_report,
     fr_step,
@@ -25,6 +24,8 @@ from spectraproj.instances import (
 from spectraproj.model import BapInstance, LinearMap, kkt_residuals, primal_objective
 from spectraproj.ssnewton import NewtonStatus, _dir_deriv_from_dec, jacobian, newton_solve
 from spectraproj.symcore import eig_sym, smat, svec, tri_len
+
+from oracles import check_independence
 
 
 def _certificate_instance():
@@ -139,6 +140,23 @@ def test_two_round_chain_structure():
     # the reduced system pins the single remaining variable to one
     assert np.allclose(final.map.rows, [[1.0]], atol=1e-12)
     assert np.allclose(final.b, [1.0], atol=1e-12)
+
+
+def test_the_fr_loop_runs_no_newton_solve(monkeypatch):
+    import spectraproj.facialred as facialred
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the certificate-only loop ran a Newton solve")
+
+    monkeypatch.setattr(facialred, "newton_solve", no_solve)
+    chain, final = fr_loop(fixture_sd2_chain())
+    assert [s.rows_removed for s in chain.steps] == [[2], [1]]
+    assert final.n == 1
+    res = solve_with_reduction(fixture_sd2_chain(), newton=False)
+    assert [r.trace for r in res.rounds] == [None, None, None]
+    assert [r.step is None for r in res.rounds] == [False, False, True]
+    assert [r.inst.n for r in res.rounds] == [3, 2, 1]
+    assert res.X is None
 
 
 def test_chain_preserves_planted_feasibility():

@@ -8,6 +8,7 @@ from spectraproj import instances
 from spectraproj.facialred import fr_loop, solve_aux_gauss_newton
 from spectraproj.instances import (
     FAMILIES,
+    FIXTURE_FAMILIES,
     FIXTURE_FILES,
     NOSLATER_SUITE,
     GeneratorSpec,
@@ -40,10 +41,16 @@ from spectraproj.symcore import BLOCK_DOUBLES, smat, svec, tri_len
 
 def test_every_family_dispatches():
     for fam in FAMILIES:
-        spec = GeneratorSpec(family=fam, n=4 if "Vontope" in fam else 6, seed=0)
-        inst = generate(spec)
-        assert inst.meta["family"] == fam or fam in ("Sd2Chain", "DualGapFace")
+        n = None if fam in FIXTURE_FAMILIES else 4 if "Vontope" in fam else 6
+        inst = generate(GeneratorSpec(family=fam, n=n, seed=0))
+        assert inst.meta["family"] == fam or fam in FIXTURE_FAMILIES
         assert inst.map.rows.shape == (inst.m, tri_len(inst.n))
+
+
+@pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+def test_a_fixture_takes_no_order(family):
+    with pytest.raises(ValueError, match=f"n does not apply to {family}"):
+        generate(GeneratorSpec(family=family, n=4))
 
 
 def test_unknown_family_rejected():

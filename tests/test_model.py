@@ -21,11 +21,12 @@ from spectraproj.model import (
     preprocess_surjective,
     primal_objective,
     residual_F,
-    residual_F_face,
     save_instance,
 )
 from spectraproj.ssnewton import newton_solve
 from spectraproj.symcore import BLOCK_DOUBLES, smat, svec, tri_len
+
+from oracles import residual_F_face
 
 
 def _rand_map(n, m, rng):

@@ -11,6 +11,7 @@ from spectraproj.cli import _suite_cells
 from spectraproj.degeneracy import _rank
 from spectraproj.instances import (
     FAMILIES,
+    FIXTURE_FAMILIES,
     GeneratorSpec,
     fixture_dual_gap_face,
     gen_dual_unattained,
@@ -207,17 +208,19 @@ def _assert_matches_dense(amap, dec):
         assert np.linalg.norm(J @ d - Jd) <= 1e-13 * max(np.abs(J).max(), 1.0) * np.linalg.norm(d)
 
 
+def _family_instance(family):
+    return generate(GeneratorSpec(family=family, n=None if family in FIXTURE_FAMILIES else 4))
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_newton_matrix_from_supports_is_bitwise_the_dense_one(family):
-    inst = generate(GeneratorSpec(family=family, n=4, seed=0))
+    inst = _family_instance(family)
     dec = _mixed_point(inst.map, np.random.default_rng(11))
     _assert_matches_dense(inst.map, dec)
 
 
 def test_only_the_all_diagonal_families_leave_the_dense_product():
-    gram = [
-        f for f in FAMILIES if not _is_diagonal(generate(GeneratorSpec(family=f, n=4, seed=0)).map)
-    ]
+    gram = [f for f in FAMILIES if not _is_diagonal(_family_instance(f).map)]
     assert gram == [f for f in FAMILIES if f not in ("Elliptope", "DualGapFace")]
 
 
