@@ -68,11 +68,9 @@ from .degeneracy import (
     jacobian_degeneracy_crosscheck,
 )
 from .instances import (
-    FIXTURE_FILES,
     GeneratorSpec,
     NOSLATER_SUITE,
     fixture_dual_gap_face,
-    fixture_path,
     fixture_sd2_chain,
     gen_dual_unattained,
     gen_elliptope,
@@ -81,7 +79,6 @@ from .instances import (
     gen_vontope,
     generate,
     known_nearest_point,
-    load_fixture,
     noslater_suite_instance,
     vontope_lift_vertex,
     vontope_null_basis,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +31,6 @@ from .degeneracy import FEAS_TOL, is_nondegenerate, jacobian_degeneracy_crossche
 from .facialred import FaceCollapsedError, fr_loop, fr_report, solve_with_reduction
 from .instances import (
     FAMILIES,
-    FIXTURE_FAMILIES,
     NOSLATER_SUITE,
     GeneratorSpec,
     gen_elliptope,
@@ -122,6 +120,8 @@ def _given(args: argparse.Namespace, flags: Iterable[str]) -> dict[str, Any]:
 _OPTION_FLAGS = {"eps_final": "--eps", "cond_budget": "--cond-budget", "max_iter": "--max-iter"}
 #: the source flags other than --instance, which reads all of them from its file
 _GENERATOR_FLAGS = ("--gen", "--n", "--m", "--sd", "--iips", "--support", "--w-mode")
+#: the flag that sets each generator setting whose check names it
+_SPEC_FLAGS = {"n": "--n", "seed": "--seed"}
 
 
 def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
@@ -139,7 +139,7 @@ def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
 
 def _resolve_instance(args: argparse.Namespace) -> BapInstance:
     if args.instance is not None:
-        if unread := _given(args, _GENERATOR_FLAGS):
+        if unread := _given(args, (*_GENERATOR_FLAGS, "--seed")):
             _usage_error(f"{', '.join(unread)}: --instance reads the instance from its file")
         inst = _read_file("--instance", args.instance, load_instance)
         # instance files are untrusted: drop dependent rows up front so the
@@ -152,38 +152,29 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
         return inst
     if args.gen is None:
         _usage_error("either --instance PATH or --gen FAMILY is required")
-    # filled here, not by the parser, so a given --n or --w-mode can be told
-    # apart; a fixture has its own fixed order, so it takes no n at all
-    if args.gen in FIXTURE_FAMILIES:
-        if args.n is not None:
-            _usage_error(f"--n does not apply to {args.gen}, a fixture of fixed order")
-    else:
-        args.n = 10 if args.n is None else args.n
-        if args.n < 1:
-            _usage_error("--n must be at least 1")
-    args.w_mode = GeneratorSpec.w_mode if args.w_mode is None else args.w_mode
     extras = {
         key: val
         for key, val in (("sd", args.sd), ("iips", args.iips), ("support", args.support))
         if val is not None
     }
-    spec = GeneratorSpec(
-        family=args.gen,
-        n=args.n,
-        m=args.m,
-        seed=args.seed,
-        w_mode=args.w_mode,
-        extras=extras,
-    )
     try:
-        return generate(spec)
+        spec = GeneratorSpec(family=args.gen, n=args.n, m=args.m, seed=args.seed,
+                             w_mode=args.w_mode, extras=extras)
+        inst = generate(spec)
     except ValueError as exc:
-        _usage_error(str(exc))
+        # a check of n or seed opens with the setting's name; report the flag's
+        field, _, rest = str(exc).partition(" ")
+        _usage_error(f"{_SPEC_FLAGS[field]} {rest}" if field in _SPEC_FLAGS else str(exc))
+    # the config echo states the settings as the spec resolved them
+    args.n, args.seed, args.w_mode = spec.n, spec.seed, spec.w_mode
+    return inst
 
 
 def _config_echo(args: argparse.Namespace, opts: NewtonOptions | None) -> dict[str, Any]:
     """The settings that shaped an artifact: ``opts`` is None when no Newton solve ran."""
-    cfg: dict[str, Any] = {"command": args.command, "version": __version__, "seed": args.seed}
+    # --gen and experiment have filled in the seed; an --instance run echoes 0
+    seed = 0 if args.seed is None else args.seed
+    cfg: dict[str, Any] = {"command": args.command, "version": __version__, "seed": seed}
     if opts is not None:
         cfg["options"] = dataclasses.asdict(opts)
     if getattr(args, "instance", None) is not None:
@@ -517,6 +508,7 @@ def _run_singularity_demo(args: argparse.Namespace, opts: NewtonOptions) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     opts = _options_from_args(args)
+    args.seed = 0 if args.seed is None else args.seed
     if args.suite == "singularity_demo":
         if args.seeds is not None or args.workers is not None:
             _usage_error("--seeds and --workers apply only to the table suites")
@@ -594,8 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
         add("--support", type=int, help="certificate support size"),
         add("--w-mode", choices=("random", "rank1", "feasible")),
     )
-    # a string default goes through type=int, so a bad SPECTRA_SEED is a usage error
-    seed = add("--seed", type=int, default=os.environ.get("SPECTRA_SEED", "0"))
+    # unset means 0, so a given --seed that nothing reads can be rejected
+    seed = add("--seed", type=int)
     newton = (
         add("--eps", type=float),
         add("--cond-budget", type=float),
@@ -635,7 +627,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         _usage_error("--seed must be at least 0")
     try:
         return args.func(args)

@@ -9,16 +9,14 @@ under ``meta["planted"]`` so tests and diagnostics can check against it.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 import scipy.linalg
 
-from .model import BapInstance, LinearMap, _row_rank, load_instance, preprocess_surjective
+from .model import BapInstance, LinearMap, _row_rank, preprocess_surjective
 from .ssnewton import NewtonStatus, newton_solve
 from .symcore import (
     BLOCK_DOUBLES,
@@ -40,22 +38,53 @@ FAMILIES = (
     "Sd2Chain",
     "DualGapFace",
 )
-#: the families that load a checked-in instance of fixed order, so take no n
+#: the families built in closed form: of fixed order and drawn from no seed,
+#: so they take no n and no seed
 FIXTURE_FAMILIES = ("Sd2Chain", "DualGapFace")
 
 _FAMILY_CODE = {name: i + 1 for i, name in enumerate(FAMILIES)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSpec:
-    """Declarative description of one instance."""
+    """Declarative description of one instance, checked and completed when made.
+
+    A setting left None takes its default: order 10 (a fixture keeps n None,
+    as it has an order of its own), seed 0 and ``w_mode`` ``"random"``.  A
+    bad setting, or one the family would not read, is a ``ValueError`` whose
+    message opens with the setting's name, so no setting that did not shape
+    the instance reaches the config echo; so is an unknown family.
+    """
 
     family: str
-    n: int | None  # None for the FIXTURE_FAMILIES, which have a fixed order
+    n: int | None = None
     m: int | None = None
-    seed: int = 0
-    w_mode: str = "random"
+    seed: int | None = None
+    w_mode: str | None = None
     extras: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        fam = self.family
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown family {fam!r}; choose one of {FAMILIES}")
+        fixture = fam in FIXTURE_FAMILIES
+        if fixture and self.n is not None:
+            raise ValueError(f"n does not apply to {fam}, a fixture of fixed order")
+        if fixture and self.seed is not None:
+            raise ValueError(f"seed does not apply to {fam}, a fixture drawn from no seed")
+        if self.n is not None and self.n < 1:
+            raise ValueError("n must be at least 1")
+        if self.m is not None and fam not in ("RandomSlater", "PlantedNoSlater"):
+            raise ValueError(f"m applies only to RandomSlater and PlantedNoSlater, not {fam}")
+        if self.extras and fam != "PlantedNoSlater":
+            raise ValueError(f"{', '.join(self.extras)} applies only to PlantedNoSlater, not {fam}")
+        if self.w_mode not in (None, "random") and fam in ("DualUnattained", *FIXTURE_FAMILIES):
+            raise ValueError("w_mode applies only to Elliptope, VontopePre, VontopePost, "
+                             f"RandomSlater and PlantedNoSlater, not {fam}")
+        # frozen, so the defaults go in through object.__setattr__
+        object.__setattr__(self, "n", None if fixture else 10 if self.n is None else self.n)
+        object.__setattr__(self, "seed", 0 if self.seed is None else self.seed)
+        object.__setattr__(self, "w_mode", "random" if self.w_mode is None else self.w_mode)
 
 
 def _rng(seed: int, family: str, salt: int = 0) -> np.random.Generator:
@@ -104,19 +133,9 @@ def _anchor(
 
 
 def generate(spec: GeneratorSpec) -> BapInstance:
-    """Dispatch a GeneratorSpec to its family generator; a ``ValueError`` means a bad spec."""
+    """The instance ``spec`` describes, from its family generator."""
     fam = spec.family
     ex = spec.extras
-    # a setting the family would ignore must not reach the config echo unused
-    if spec.n is not None and fam in FIXTURE_FAMILIES:
-        raise ValueError(f"n does not apply to {fam}, a fixture of fixed order")
-    if spec.m is not None and fam not in ("RandomSlater", "PlantedNoSlater"):
-        raise ValueError(f"m applies only to RandomSlater and PlantedNoSlater, not {fam}")
-    if ex and fam != "PlantedNoSlater":
-        raise ValueError(f"{', '.join(ex)} applies only to PlantedNoSlater, not {fam}")
-    if spec.w_mode != "random" and fam in ("DualUnattained", *FIXTURE_FAMILIES):
-        raise ValueError("w_mode applies only to Elliptope, VontopePre, VontopePost, "
-                         f"RandomSlater and PlantedNoSlater, not {fam}")
     if fam == "Elliptope":
         return gen_elliptope(spec.n, seed=spec.seed, w_mode=spec.w_mode)
     if fam == "VontopePre":
@@ -141,9 +160,7 @@ def generate(spec: GeneratorSpec) -> BapInstance:
         return gen_dual_unattained(spec.n, seed=spec.seed)
     if fam == "Sd2Chain":
         return fixture_sd2_chain()
-    if fam == "DualGapFace":
-        return fixture_dual_gap_face()
-    raise ValueError(f"unknown family {fam!r}; choose one of {FAMILIES}")
+    return fixture_dual_gap_face()
 
 
 # ---------------------------------------------------------------------------
@@ -552,29 +569,6 @@ def noslater_suite_instance(n: int, seed: int) -> BapInstance:
         face_codim=params["face_codim"],
         root_margin=params["root_margin"],
     )
-
-
-FIXTURE_FILES = ("sd2_chain.json", "dual_gap_face.json")
-
-
-def fixture_path(name: str) -> Path:
-    """Path of a checked-in fixture file inside the installed package."""
-    if name not in FIXTURE_FILES:
-        raise ValueError(f"unknown fixture {name!r}; choose one of {FIXTURE_FILES}")
-    return Path(__file__).parent / "data" / name
-
-
-def load_fixture(name: str) -> BapInstance:
-    """Load a checked-in fixture after verifying it against SHA256SUMS."""
-    path = fixture_path(name)
-    sums = {}
-    for line in (path.parent / "SHA256SUMS").read_text().splitlines():
-        digest, fname = line.split()
-        sums[fname] = digest
-    actual = hashlib.sha256(path.read_bytes()).hexdigest()
-    if actual != sums[name]:
-        raise ValueError(f"fixture {name!r} fails its checksum: {actual}")
-    return load_instance(str(path))
 
 
 def fixture_dual_gap_face() -> BapInstance:

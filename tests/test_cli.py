@@ -42,12 +42,14 @@ def _run(*argv):
 
 
 def _usage_error(capsys, *argv):
-    # a usage error exits 2 with argparse's message prefix on stderr
+    # a usage error exits 2 with argparse's message prefix on stderr; argparse's
+    # own errors (a value its type= rejects) print the usage block first
     with pytest.raises(SystemExit) as exc:
         _run(*argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("spectraproj: error: ")
+    assert err.startswith("spectraproj: error: ") or (
+        err.startswith("usage: spectraproj ") and f"\nspectraproj {argv[0]}: error: " in err)
     return err
 
 
@@ -226,14 +228,6 @@ def test_gen_writes_loadable_instance(tmp_path, capsys):
     inst = load_instance(str(out / "instance.json"))
     assert inst.n == 10 and inst.m == 7
     assert inst.meta["sd"] == 1
-
-
-def test_env_seed_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPECTRA_SEED", "7")
-    out = tmp_path / "gen"
-    _run("gen", "--gen", "RandomSlater", "--n", "6", "--out", str(out))
-    inst = load_instance(str(out / "instance.json"))
-    assert inst.meta["seed"] == 7
 
 
 def test_fr_reports_chain(tmp_path, capsys):
@@ -577,6 +571,7 @@ def test_generated_order_must_be_positive(tmp_path, capsys):
         (("--gen", "RandomSlater", "--n", "3", "--m", "7"), "m must lie in [1, 6]"),
         (("--gen", "PlantedNoSlater", "--n", "3", "--m", "7"), "m must be at most 6"),
         (("--gen", "Elliptope", "--seed", "-1"), "--seed must be at least 0"),
+        (("--gen", "Elliptope", "--seed", "abc"), "argument --seed: invalid int value: 'abc'"),
         (("--gen", "Elliptope", "--m", "9", "--sd", "3"),
          "m applies only to RandomSlater and PlantedNoSlater, not Elliptope"),
         (("--gen", "RandomSlater", "--iips", "2", "--support", "3"),
@@ -589,6 +584,7 @@ def test_generated_order_must_be_positive(tmp_path, capsys):
     ],
     ids=[
         "rank1", "vontope-n", "sd", "support", "unattained-n", "slater-m", "planted-m", "seed",
+        "seed-not-int",
         "ignored-m", "ignored-extras", "ignored-w-mode-unattained", "ignored-w-mode-sd2",
         "ignored-w-mode-gap",
     ],
@@ -597,22 +593,6 @@ def test_generator_argument_error_is_a_usage_error(tmp_path, capsys, argv, reaso
     err = _usage_error(capsys, "gen", *argv, "--out", str(tmp_path / "o"))
     assert reason in err
     assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    "value, reason",
-    [
-        ("abc", "argument --seed: invalid int value: 'abc'"),
-        ("-1", "spectraproj: error: --seed must be at least 0"),
-    ],
-    ids=["not-int", "negative"],
-)
-def test_bad_env_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, value, reason):
-    monkeypatch.setenv("SPECTRA_SEED", value)
-    with pytest.raises(SystemExit) as exc:
-        _run("gen", "--gen", "Elliptope", "--out", str(tmp_path / "o"))
-    assert exc.value.code == 2
-    assert reason in capsys.readouterr().err
 
 
 def test_singularity_walk_artifacts(tmp_path, capsys):
@@ -664,9 +644,14 @@ _UNREAD = [
                  id=cmd + "-instance--gen")
     for cmd in ("fr", "pipeline", "diagnose", "gen")
 ] + [
-    # a fixture has a fixed order
-    pytest.param((cmd, "--gen", fam), ("--n", "7"), id=f"{cmd}-{fam}--n")
+    # --instance reads the instance, its seed included, from its file
+    pytest.param((cmd, "--instance", "problem.json"), ("--seed", "9"), id=cmd + "-instance--seed")
+    for cmd in ("solve", "fr", "pipeline", "diagnose", "gen")
+] + [
+    # a fixture has a fixed order and is drawn from no seed
+    pytest.param((cmd, "--gen", fam), flag, id=f"{cmd}-{fam}{flag[0]}")
     for cmd, fam in (("fr", "Sd2Chain"), ("pipeline", "DualGapFace"), ("gen", "Sd2Chain"))
+    for flag in (("--n", "7"), ("--seed", "9"))
 ] + [
     # the point modes of diagnose run no Newton solve
     pytest.param(("diagnose", *point), flag, id="diagnose" + point[2] + flag[0])
@@ -754,7 +739,6 @@ def test_with_no_emit_a_command_writes_everything_it_writes_and_echoes_the_defau
     tmp_path, monkeypatch, argv, written, report, source
 ):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SPECTRA_SEED", raising=False)
     save_instance(fixture_sd2_chain(), "problem.json")
     assert _run(*argv, "--out", "o") == EXIT_OK
     assert {p.name for p in Path("o").iterdir()} == written

@@ -31,9 +31,6 @@ FOR_USERS = {
     "solve_aux_gauss_newton": "the search for an exposing vector",
     "CrosscheckReport": "what the Jacobian crosscheck of degeneracy returns",
     "DegeneracyReport": "what the nondegeneracy rank test returns",
-    "FIXTURE_FILES": "the closed-form fixtures' file names",
-    "fixture_path": "where a closed-form fixture is stored",
-    "load_fixture": "a closed-form fixture, checked against its checksum",
     "fixture_sd2_chain": "the closed-form singularity-degree-2 chain",
     "fixture_dual_gap_face": "the closed-form instance whose dual optimum is not attained",
     "gen_dual_unattained": "the family whose dual optimum is not attained",

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,9 @@ from spectraproj.facialred import fr_loop, solve_aux_gauss_newton
 from spectraproj.instances import (
     FAMILIES,
     FIXTURE_FAMILIES,
-    FIXTURE_FILES,
     NOSLATER_SUITE,
     GeneratorSpec,
     fixture_dual_gap_face,
-    fixture_path,
     fixture_sd2_chain,
     gen_dual_unattained,
     gen_elliptope,
@@ -22,7 +21,6 @@ from spectraproj.instances import (
     gen_vontope,
     generate,
     known_nearest_point,
-    load_fixture,
     noslater_suite_instance,
     vontope_gangster_pairs,
     vontope_lift_vertex,
@@ -35,14 +33,18 @@ from spectraproj.model import (
     instance_to_dict,
     kkt_residuals,
     preprocess_surjective,
+    save_instance,
 )
 from spectraproj.symcore import BLOCK_DOUBLES, smat, svec, tri_len
 
 
 def test_every_family_dispatches():
     for fam in FAMILIES:
-        n = None if fam in FIXTURE_FAMILIES else 4 if "Vontope" in fam else 6
-        inst = generate(GeneratorSpec(family=fam, n=n, seed=0))
+        if fam in FIXTURE_FAMILIES:
+            spec = GeneratorSpec(family=fam)
+        else:
+            spec = GeneratorSpec(family=fam, n=4 if "Vontope" in fam else 6, seed=0)
+        inst = generate(spec)
         assert inst.meta["family"] == fam or fam in FIXTURE_FAMILIES
         assert inst.map.rows.shape == (inst.m, tri_len(inst.n))
 
@@ -51,6 +53,25 @@ def test_every_family_dispatches():
 def test_a_fixture_takes_no_order(family):
     with pytest.raises(ValueError, match=f"n does not apply to {family}"):
         generate(GeneratorSpec(family=family, n=4))
+
+
+@pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+def test_a_fixture_takes_no_seed(family):
+    with pytest.raises(ValueError, match=f"^seed does not apply to {family}"):
+        generate(GeneratorSpec(family=family, seed=5))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_generated_order_must_be_positive(n):
+    with pytest.raises(ValueError, match="^n must be at least 1"):
+        generate(GeneratorSpec(family="Elliptope", n=n))
+
+
+def test_a_spec_fills_its_defaults():
+    # a fixture keeps n None: it has an order of its own
+    for family, n in (("RandomSlater", 10), ("Sd2Chain", None)):
+        spec = GeneratorSpec(family=family)
+        assert (spec.n, spec.m, spec.seed, spec.w_mode) == (n, None, 0, "random")
 
 
 def test_unknown_family_rejected():
@@ -393,30 +414,16 @@ def test_fixture_recorded_triple_is_optimal():
     assert all(v <= 1e-14 for v in res.values())
 
 
-def test_fixture_files_match_builders():
-    for name, builder in zip(FIXTURE_FILES, (fixture_sd2_chain, fixture_dual_gap_face)):
-        disk = load_fixture(name)
-        built = builder()
-        assert dumps_json(instance_to_dict(disk)) == dumps_json(instance_to_dict(built))
-
-
-def test_fixture_checksum_guard(tmp_path, monkeypatch):
-    import spectraproj.instances as mod
-
-    src = fixture_path("sd2_chain.json")
-    sums = src.parent / "SHA256SUMS"
-    tampered = tmp_path / "sd2_chain.json"
-    text = src.read_text()
-    tampered.write_text(text.replace("1", "2", 1))
-    (tmp_path / "SHA256SUMS").write_text(sums.read_text())
-    monkeypatch.setattr(mod, "fixture_path", lambda name: tmp_path / name)
-    with pytest.raises(ValueError, match="checksum"):
-        mod.load_fixture("sd2_chain.json")
-
-
-def test_fixture_name_guard():
-    with pytest.raises(ValueError):
-        fixture_path("nope.json")
+def test_fixture_file_bytes_are_pinned(tmp_path):
+    # the bytes `spectraproj gen --gen <fixture>` writes; a changed digest
+    # means a changed fixture, or a changed instance-file format
+    for builder, digest in (
+        (fixture_sd2_chain, "5211180b2d471ff0d153dee556f93243fc4ffcc848194b99757832d6e52dc2f5"),
+        (fixture_dual_gap_face, "446ae928254c0bdec0b2a967bbbdf37e2c491a463ab7f485a172bae6dc93972a"),
+    ):
+        path = tmp_path / "instance.json"
+        save_instance(builder(), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, builder.__name__
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -429,7 +436,7 @@ def test_nearest_point_on_the_planted_face_is_the_planted_root(seed):
 
 
 def test_nearest_point_of_a_fixture_is_its_stored_answer():
-    for inst in (fixture_sd2_chain(), fixture_dual_gap_face(), load_fixture("sd2_chain.json")):
+    for inst in (fixture_sd2_chain(), fixture_dual_gap_face()):
         X = known_nearest_point(inst)
         assert np.array_equal(X, smat(np.asarray(inst.meta["planted"]["x_star"])))
     with pytest.raises(ValueError, match="RandomSlater"):
