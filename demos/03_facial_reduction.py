@@ -43,11 +43,11 @@ print("after : %s in %d iterations, relres %.2e"
       % (after.status.value, after.k_final, after.relres_final))
 
 # some instances need several rounds; the loop repeats until the reduced
-# problem has an interior, collecting the certificate chain along the way
+# problem has an interior, recording each round's certificate and step
 print()
-chain, final = fr_loop(fixture_sd2_chain())
+res = fr_loop(fixture_sd2_chain())
 print("chain length %d, redundant rows found %d, final order %d"
-      % (chain.sd_hat, chain.iips_hat, final.n))
-for k, step in enumerate(chain.steps):
+      % (res.sd_hat, res.iips_hat, res.final.n))
+for k, step in enumerate(res.steps):
     print("  round %d: removed rows %s, aux residual %.1e"
           % (k, step.rows_removed, step.residual))

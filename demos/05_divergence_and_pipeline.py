@@ -33,8 +33,8 @@ for k in (10, 50, 100, 250, 500):
 # optimum
 res = solve_with_reduction(inst, NewtonOptions(max_iter=500))
 print()
-print("reduction rounds     ", res.chain.sd_hat)
-print("reduced order        ", res.rounds[-1].inst.n)
+print("reduction rounds     ", res.sd_hat)
+print("reduced order        ", res.final.n)
 print("final status         ", res.rounds[-1].trace.status.value)
 print("lifted solution      ", np.round(res.X, 12).tolist())
 print("objective            ", primal_objective(inst, res.X))

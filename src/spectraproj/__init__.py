@@ -51,7 +51,6 @@ from .ssnewton import (
 )
 from .facialred import (
     AuxCertificate,
-    FaceChain,
     FaceCollapsedError,
     ReductionResult,
     certificate_from_stall,

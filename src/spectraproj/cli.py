@@ -121,7 +121,7 @@ _OPTION_FLAGS = {"eps_final": "--eps", "cond_budget": "--cond-budget", "max_iter
 #: the source flags other than --instance, which reads all of them from its file
 _GENERATOR_FLAGS = ("--gen", "--n", "--m", "--sd", "--iips", "--support", "--w-mode")
 #: the flag that sets each generator setting whose check names it
-_SPEC_FLAGS = {"n": "--n", "seed": "--seed"}
+_SPEC_FLAGS = {"n": "--n", "seed": "--seed", "w_mode": "--w-mode"}
 
 
 def _options_from_args(args: argparse.Namespace) -> NewtonOptions:
@@ -142,6 +142,8 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
         if unread := _given(args, (*_GENERATOR_FLAGS, "--seed")):
             _usage_error(f"{', '.join(unread)}: --instance reads the instance from its file")
         inst = _read_file("--instance", args.instance, load_instance)
+        # the certificate search seeds from the file's seed; the echo states it
+        args.seed = inst.meta.get("seed", 0)
         # instance files are untrusted: drop dependent rows up front so the
         # solver sees a surjective map, and reject inconsistent systems here
         red_map, red_b, removed = preprocess_surjective(inst.map, inst.b)
@@ -162,7 +164,7 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
                              w_mode=args.w_mode, extras=extras)
         inst = generate(spec)
     except ValueError as exc:
-        # a check of n or seed opens with the setting's name; report the flag's
+        # a check of n, seed or w_mode opens with the setting's name; report the flag's
         field, _, rest = str(exc).partition(" ")
         _usage_error(f"{_SPEC_FLAGS[field]} {rest}" if field in _SPEC_FLAGS else str(exc))
     # the config echo states the settings as the spec resolved them
@@ -172,9 +174,8 @@ def _resolve_instance(args: argparse.Namespace) -> BapInstance:
 
 def _config_echo(args: argparse.Namespace, opts: NewtonOptions | None) -> dict[str, Any]:
     """The settings that shaped an artifact: ``opts`` is None when no Newton solve ran."""
-    # --gen and experiment have filled in the seed; an --instance run echoes 0
-    seed = 0 if args.seed is None else args.seed
-    cfg: dict[str, Any] = {"command": args.command, "version": __version__, "seed": seed}
+    # the source, or experiment, has filled in the seed
+    cfg: dict[str, Any] = {"command": args.command, "version": __version__, "seed": args.seed}
     if opts is not None:
         cfg["options"] = dataclasses.asdict(opts)
     if getattr(args, "instance", None) is not None:
@@ -241,15 +242,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_fr(args: argparse.Namespace) -> int:
     emit = _emitted(args, "report")
     inst = _resolve_instance(args)
-    chain, final = fr_loop(inst)
+    res = fr_loop(inst)
     out = Path(args.out)
-    report = {"config": _config_echo(args, opts=None), **fr_report(chain, final)}
+    report = {"config": _config_echo(args, opts=None), **fr_report(res)}
     if "report" in emit:
         _write_json(out / "fr_report.json", report)
-        save_instance(final, str(out / "reduced_instance.json"))
+        save_instance(res.final, str(out / "reduced_instance.json"))
     print(
-        f"sd_hat={chain.sd_hat} iips_hat={chain.iips_hat} "
-        f"final_n={final.n} final_m={final.m}"
+        f"sd_hat={res.sd_hat} iips_hat={res.iips_hat} "
+        f"final_n={res.final.n} final_m={res.final.m}"
     )
     return EXIT_OK
 
@@ -285,7 +286,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "X_star": svec(X_lift),
         "pf": pf,
         "p_star": primal_objective(inst, X_lift),
-        "reduced": _solve_summary(res.rounds[-1].inst, trace),
+        "reduced": _solve_summary(res.final, trace),
     }
     if pf <= FEAS_TOL:
         report["degeneracy"] = is_nondegenerate(inst, X_lift).to_dict()

@@ -12,7 +12,7 @@ set, and the total number of deleted rows counts the implicit redundancies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
@@ -70,44 +70,6 @@ class FrStep:
 
 
 @dataclass
-class FaceChain:
-    """Composed outcome of a facial-reduction loop."""
-
-    V: np.ndarray            # n x r basis of the current face in original coordinates
-    kept: np.ndarray         # mask over the original rows still present
-    steps: list[FrStep] = field(default_factory=list)
-
-    @classmethod
-    def start(cls, inst: BapInstance) -> FaceChain:
-        """The empty chain: the whole cone and every row of ``inst``."""
-        return cls(V=np.eye(inst.n), kept=np.ones(inst.m, dtype=bool))
-
-    @property
-    def sd_hat(self) -> int:
-        return len(self.steps)
-
-    @property
-    def iips_hat(self) -> int:
-        return sum(len(s.rows_removed) for s in self.steps)
-
-    def restrict(self, inst: BapInstance, cert: AuxCertificate) -> BapInstance:
-        """One round: validate ``cert``, restrict ``inst`` to its face, record the step.
-
-        ``inst`` is the chain's current instance; the reduced one is returned
-        and ``V`` and ``kept`` are updated to it.
-        """
-        cert.validate(inst.b)
-        reduced, Q, removed = fr_step(inst, cert)
-        rows = np.flatnonzero(self.kept)
-        lifted = np.zeros(self.kept.size)
-        lifted[rows] = cert.lam
-        self.kept[rows[removed]] = False
-        self.V = self.V @ Q
-        self.steps.append(FrStep(cert.lam, lifted, Q, removed, reduced.n, cert.residual))
-        return reduced
-
-
-@dataclass
 class ReductionRound:
     """One round of a reduction run: its Newton solve and the reduction that followed.
 
@@ -122,15 +84,36 @@ class ReductionRound:
 
 @dataclass
 class ReductionResult:
-    """Outcome of :func:`solve_with_reduction`.
+    """One reduction run, as :func:`solve_with_reduction` returns it.
 
-    ``X`` is the last round's primal iterate lifted back, V X V', and None
-    when no round solved (``newton=False``).
+    Each round but the last carries the step that reduced it.  ``V`` is an
+    n x r basis of the last round's face in the original coordinates, the
+    product of the steps' ``Q``, and ``kept`` masks the original rows still
+    present.  ``X`` is the last round's primal iterate lifted back, V X V',
+    and None when no round solved (``newton=False``).
     """
 
     rounds: list[ReductionRound]
-    chain: FaceChain
+    V: np.ndarray
+    kept: np.ndarray
     X: np.ndarray | None
+
+    @property
+    def steps(self) -> list[FrStep]:
+        return [r.step for r in self.rounds[:-1]]
+
+    @property
+    def sd_hat(self) -> int:
+        return len(self.rounds) - 1
+
+    @property
+    def iips_hat(self) -> int:
+        return sum(len(s.rows_removed) for s in self.steps)
+
+    @property
+    def final(self) -> BapInstance:
+        """The last round's instance, on which strict feasibility is expected."""
+        return self.rounds[-1].inst
 
 
 def _aux_residual(inst: BapInstance, lam: np.ndarray) -> tuple[np.ndarray, SpectralDecomp]:
@@ -349,15 +332,13 @@ def fr_step(inst: BapInstance, cert: AuxCertificate) -> tuple[BapInstance, np.nd
     return reduced, Q, removed
 
 
-def fr_loop(inst: BapInstance) -> tuple[FaceChain, BapInstance]:
+def fr_loop(inst: BapInstance) -> ReductionResult:
     """Alternate cold certificate search and face restriction until none is found.
 
     :func:`solve_with_reduction` with the Newton round off, so at most
-    ``inst.n`` reductions.  Returns the composed chain and the final reduced
-    instance, on which strict feasibility is expected to hold.
+    ``inst.n`` reductions.
     """
-    res = solve_with_reduction(inst, newton=False)
-    return res.chain, res.rounds[-1].inst
+    return solve_with_reduction(inst, newton=False)
 
 
 def solve_with_reduction(
@@ -367,10 +348,11 @@ def solve_with_reduction(
 
     Each round runs :func:`newton_solve` on the current instance.  A round that
     does not solve warm-starts the certificate search from its stall; the
-    certificate restricts the instance through the chain and the next round
-    solves the reduced problem.  The run ends at the first round that solves
-    or finds no certificate, after at most ``inst.n`` reductions.  The last
-    round's primal iterate is lifted back to the original coordinates.
+    certificate is validated and restricts the instance (:func:`fr_step`),
+    the round is recorded with that step, and the next round solves the
+    reduced problem.  The run ends at the first round that solves or finds
+    no certificate, after at most ``inst.n`` reductions.  The last round's
+    primal iterate is lifted back to the original coordinates.
 
     With ``newton=False`` no round solves and ``opts`` is not read: each
     round searches cold (:func:`solve_aux_gauss_newton` with no warm start),
@@ -384,27 +366,36 @@ def solve_with_reduction(
     reduction, far from the projection.  The CLI prunes
     ``--instance`` files with :func:`~spectraproj.model.preprocess_surjective`;
     each reduced instance is pruned by :meth:`BapInstance.restrict
-    <spectraproj.model.BapInstance.restrict>` (through :meth:`FaceChain.restrict`).
+    <spectraproj.model.BapInstance.restrict>`.
     """
-    chain = FaceChain.start(inst)
+    V, kept = np.eye(inst.n), np.ones(inst.m, dtype=bool)
     rounds: list[ReductionRound] = []
     current = inst
     while True:
         trace = newton_solve(current, opts=opts) if newton else None
         cert = None
-        if chain.sd_hat < inst.n and (trace is None or trace.status != NewtonStatus.SOLVED):
+        if len(rounds) < inst.n and (trace is None or trace.status != NewtonStatus.SOLVED):
             lam0 = None if trace is None else certificate_from_stall(trace, current)
             cert = solve_aux_gauss_newton(current, lam0=lam0)
-        rounds.append(ReductionRound(current, trace, None))
         if cert is None:
+            rounds.append(ReductionRound(current, trace, None))
             break
-        current = chain.restrict(current, cert)
-        rounds[-1].step = chain.steps[-1]
-    X = None if trace is None else chain.V @ trace.triple.X @ chain.V.T
-    return ReductionResult(rounds, chain, X)
+        cert.validate(current.b)
+        reduced, Q, removed = fr_step(current, cert)
+        # the certificate and the dropped rows in the original row numbering
+        rows = np.flatnonzero(kept)
+        lifted = np.zeros(inst.m)
+        lifted[rows] = cert.lam
+        kept[rows[removed]] = False
+        V = V @ Q
+        step = FrStep(cert.lam, lifted, Q, removed, reduced.n, cert.residual)
+        rounds.append(ReductionRound(current, trace, step))
+        current = reduced
+    X = None if trace is None else V @ trace.triple.X @ V.T
+    return ReductionResult(rounds, V, kept, X)
 
 
-def fr_report(chain: FaceChain, final_inst: BapInstance) -> dict[str, Any]:
+def fr_report(res: ReductionResult) -> dict[str, Any]:
     """JSON-ready summary of a facial-reduction run."""
     return {
         "steps": [
@@ -414,10 +405,10 @@ def fr_report(chain: FaceChain, final_inst: BapInstance) -> dict[str, Any]:
                 "r_after": int(s.r_after),
                 "residual": float(s.residual),
             }
-            for s in chain.steps
+            for s in res.steps
         ],
-        "sd_hat": chain.sd_hat,
-        "iips_hat": chain.iips_hat,
-        "final_n": int(final_inst.n),
-        "final_m": int(final_inst.m),
+        "sd_hat": res.sd_hat,
+        "iips_hat": res.iips_hat,
+        "final_n": int(res.final.n),
+        "final_m": int(res.final.m),
     }

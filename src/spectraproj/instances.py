@@ -78,7 +78,7 @@ class GeneratorSpec:
             raise ValueError(f"m applies only to RandomSlater and PlantedNoSlater, not {fam}")
         if self.extras and fam != "PlantedNoSlater":
             raise ValueError(f"{', '.join(self.extras)} applies only to PlantedNoSlater, not {fam}")
-        if self.w_mode not in (None, "random") and fam in ("DualUnattained", *FIXTURE_FAMILIES):
+        if self.w_mode is not None and fam in ("DualUnattained", *FIXTURE_FAMILIES):
             raise ValueError("w_mode applies only to Elliptope, VontopePre, VontopePost, "
                              f"RandomSlater and PlantedNoSlater, not {fam}")
         # frozen, so the defaults go in through object.__setattr__

@@ -421,13 +421,19 @@ def finite_array(name: str, values: Any) -> np.ndarray:
 
 
 def instance_from_dict(payload: dict[str, Any]) -> BapInstance:
+    """The instance ``payload`` describes; ``meta.seed``, 0 when absent, seeds its searches."""
     n = int(payload["n"])
     amap = LinearMap(n=n, rows=finite_array("A", payload["A"]))
     if amap.m != int(payload["m"]):
         raise ValueError("declared m does not match the number of rows in A")
     W = smat(finite_array("W", payload["W"]))
-    return BapInstance(map=amap, b=finite_array("b", payload["b"]),
-                       W=W, meta=payload.get("meta", {}))
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("meta must be an object")
+    seed = meta.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"meta.seed must be an integer at least 0, got {seed!r}")
+    return BapInstance(map=amap, b=finite_array("b", payload["b"]), W=W, meta=meta)
 
 
 def load_instance(path: str) -> BapInstance:

@@ -250,6 +250,8 @@ class NewtonOptions:
 
 @dataclass
 class NewtonIterate:
+    """One iterate.  ``J``, its Newton matrix, is kept on a run's last iterate only."""
+
     k: int
     y: np.ndarray
     relres: float
@@ -257,6 +259,7 @@ class NewtonIterate:
     eig_J: np.ndarray
     lam_min_X: float
     wallclock: float
+    J: np.ndarray | None = None
 
 
 @dataclass
@@ -264,15 +267,17 @@ class NewtonTrace:
     """The iterates of one solve, how it stopped, and its last KKT triple.
 
     ``J`` is the Newton matrix at the last iterate, jacobian(inst, triple.y).
-    A solved run stops without forming it: its trace, and its last iterate's
-    ``cond`` and ``eig_J``, form it on first read (:class:`_SolvedIterate`).
+    A solved run stops without forming it: its last iterate's ``J``,
+    ``cond`` and ``eig_J`` form it on first read (:class:`_SolvedIterate`).
     """
 
     iterates: list[NewtonIterate]
     status: NewtonStatus
     triple: KktTriple
-    options: NewtonOptions
-    J: np.ndarray
+
+    @property
+    def J(self) -> np.ndarray:
+        return self.iterates[-1].J
 
     @property
     def k_final(self) -> int:
@@ -320,19 +325,6 @@ class _SolvedIterate(NewtonIterate):
     @property
     def eig_J(self) -> np.ndarray:
         return self._spectrum[0]
-
-
-class _SolvedTrace(NewtonTrace):
-    """The trace of a solved run: ``J`` is its last iterate's, formed on first read."""
-
-    def __init__(self, iterates: list[NewtonIterate], triple: KktTriple,
-                 options: NewtonOptions) -> None:
-        self.iterates, self.triple, self.options = iterates, triple, options
-        self.status = NewtonStatus.SOLVED
-
-    @property
-    def J(self) -> np.ndarray:
-        return self.iterates[-1].J
 
 
 def _reg_scale(amap: LinearMap, b_scale: float) -> float:
@@ -445,7 +437,8 @@ def newton_solve(
     and its ``J``, ``cond_final`` and last ``eig_J`` form the matrix and its
     spectrum on first read, once, to the bits the loop would have formed.
     A caller that wants only the projection never pays for them.  Stalled
-    and iteration-limit runs form J at every iterate, their last included.
+    and iteration-limit runs form J at every iterate, and keep the last one
+    on their last iterate.
 
     The map must be surjective (linearly independent rows); the solver does
     not check.  A dependent row gives J an exact null vector, so cond(J) is
@@ -509,22 +502,22 @@ def newton_solve(
         )
         if _digits_lost(cond) + _digits_gained(relres) > opts.cond_budget:
             status = NewtonStatus.SUSPECTED_DEGENERATE
+            iterates[-1].J = J
             break
         if k >= opts.max_iter:
             status = NewtonStatus.ITER_LIMIT
+            iterates[-1].J = J
             break
 
         d = _newton_step(J, F, _lm_parameter(rho, normF, b_scale), eye)
-        J = None  # free before the next assembly; the trace takes J from the break
+        J = None  # free before the next assembly
         nd = float(np.linalg.norm(d))
         if nd > 1e8:
             d *= 1e8 / nd
         y = y + d
 
     triple = KktTriple(X=X, y=y.copy(), Z=X - Y)
-    if status is NewtonStatus.SOLVED:
-        return _SolvedTrace(iterates, triple, opts)
-    return NewtonTrace(iterates=iterates, status=status, triple=triple, options=opts, J=J)
+    return NewtonTrace(iterates=iterates, status=status, triple=triple)
 
 
 def trace_to_csv(trace: NewtonTrace) -> str:

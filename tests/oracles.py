@@ -1,11 +1,11 @@
 """Checks that only the tests read: the face-restricted root function and the
-independence of a facial-reduction chain's certificates."""
+independence of a facial-reduction run's certificates."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from spectraproj.facialred import FaceChain
+from spectraproj.facialred import ReductionResult
 from spectraproj.model import BapInstance
 from spectraproj.symcore import project_face
 
@@ -19,7 +19,7 @@ def residual_F_face(
 
 
 def check_independence(
-    chain: FaceChain,
+    res: ReductionResult,
     inst: BapInstance | None = None,
     y_root: np.ndarray | None = None,
 ) -> bool:
@@ -30,17 +30,17 @@ def check_independence(
     certificate keeps the face-restricted residual at zero (to 1e-9 relative
     to 1 + ||b||).
     """
-    if not chain.steps:
+    if not res.steps:
         return True
-    L = np.array([s.lam_lifted for s in chain.steps])
+    L = np.array([s.lam_lifted for s in res.steps])
     sv = np.linalg.svd(L, compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
-    if rank != len(chain.steps):
+    if rank != len(res.steps):
         return False
     if inst is not None and y_root is not None:
         b_scale = 1.0 + np.linalg.norm(inst.b)
-        for s in chain.steps:
-            F, _ = residual_F_face(inst, np.asarray(y_root) + s.lam_lifted, chain.V)
+        for s in res.steps:
+            F, _ = residual_F_face(inst, np.asarray(y_root) + s.lam_lifted, res.V)
             if np.linalg.norm(F) > 1e-9 * b_scale:
                 return False
     return True

@@ -162,7 +162,7 @@ def test_03_stall_one_reduction_round_then_fast_solve():
 def test_04_two_step_chain_fixture_end_to_end():
     t0 = time.perf_counter()
     inst = fixture_sd2_chain()
-    chain, final = fr_loop(inst)
+    run = fr_loop(inst)
     planted = inst.meta["planted"]
     triple = KktTriple(
         X=smat(np.asarray(planted["x_star"])),
@@ -171,14 +171,14 @@ def test_04_two_step_chain_fixture_end_to_end():
     )
     res = kkt_residuals(inst, triple)
     y_shift = triple.y + np.asarray(planted["certificates"][1], dtype=float)
-    Ff, _ = residual_F_face(inst, y_shift, chain.V)
+    Ff, _ = residual_F_face(inst, y_shift, run.V)
     F, _ = residual_F(inst, y_shift)
     elapsed = time.perf_counter() - t0
     ok = (
-        chain.sd_hat == 2
-        and final.n == 1
-        and np.allclose(final.map.rows, [[1.0]], atol=1e-12)
-        and np.allclose(final.b, [1.0], atol=1e-12)
+        run.sd_hat == 2
+        and run.final.n == 1
+        and np.allclose(run.final.map.rows, [[1.0]], atol=1e-12)
+        and np.allclose(run.final.b, [1.0], atol=1e-12)
         and all(v <= 1e-14 for v in res.values())
         and np.linalg.norm(Ff) <= 1e-12
         and np.linalg.norm(F) > 1e-6
@@ -187,7 +187,7 @@ def test_04_two_step_chain_fixture_end_to_end():
     _line(
         "two-step reduction chain",
         ok,
-        f"steps={chain.sd_hat} final_n={final.n} kkt_max={max(res.values()):.1e} "
+        f"steps={run.sd_hat} final_n={run.final.n} kkt_max={max(res.values()):.1e} "
         f"|Ff|={np.linalg.norm(Ff):.1e} |F|={np.linalg.norm(F):.1e} {elapsed:.2f}s",
     )
 
@@ -198,8 +198,8 @@ def test_05_divergent_duals_then_exact_recovery():
     norms = {it.k: np.linalg.norm(it.y) for it in trace.iterates}
     growth = norms[2000] / norms[50]
     never_solved = trace.status != NewtonStatus.SOLVED
-    chain, final = fr_loop(inst)
-    lifted = chain.V @ newton_solve(final).triple.X @ chain.V.T
+    run = fr_loop(inst)
+    lifted = run.V @ newton_solve(run.final).triple.X @ run.V.T
     x_err = np.linalg.norm(lifted)  # the planted optimum is the origin
     p_star = primal_objective(inst, lifted)
     ok = (
@@ -447,16 +447,16 @@ def test_07g_multi_step_chains_are_independent():
     t0 = time.perf_counter()
     checked = 0
     inst = fixture_sd2_chain()
-    chain, _ = fr_loop(inst)
-    assert chain.sd_hat == 2
+    run = fr_loop(inst)
+    assert run.sd_hat == 2
     y_root = np.asarray(inst.meta["planted"]["y_root"], dtype=float)
-    ok = check_independence(chain, inst=inst, y_root=y_root)
+    ok = check_independence(run, inst=inst, y_root=y_root)
     checked += 1
     for seed in (3, 4):
         deep = gen_planted_noslater(
             12, 7, sd_target=2, iips_target=2, support_size=5, seed=seed
         )
-        c2, _ = fr_loop(deep)
+        c2 = fr_loop(deep)
         if c2.sd_hat >= 2:
             ok = ok and check_independence(c2)
             checked += 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -113,14 +114,30 @@ def _corrupt_m(payload):
     return json.dumps(payload)
 
 
+_BAD_SEED = "ValueError: meta.seed must be an integer at least 0, got "
+
+
+def _with_meta(meta, payload):
+    # the certificate search seeds from meta.seed, so a bad one is a bad file
+    payload["meta"] = meta
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize(
     "corrupt, reason",
     [
         (_corrupt_w, "ValueError: 9 is not n*(n+1)/2"),
         (_corrupt_m, "ValueError: declared m does not match"),
         (lambda payload: json.dumps(payload)[:-1], "JSONDecodeError"),
+        (partial(_with_meta, {"seed": -1}), _BAD_SEED + "-1"),
+        (partial(_with_meta, {"seed": 1.5}), _BAD_SEED + "1.5"),
+        (partial(_with_meta, {"seed": "7"}), _BAD_SEED + "'7'"),
+        (partial(_with_meta, {"seed": True}), _BAD_SEED + "True"),
+        (partial(_with_meta, {"seed": None}), _BAD_SEED + "None"),
+        (partial(_with_meta, [7]), "ValueError: meta must be an object"),
     ],
-    ids=["W-length", "m", "json"],
+    ids=["W-length", "m", "json", "seed-negative", "seed-float", "seed-string", "seed-bool",
+         "seed-null", "meta-list"],
 )
 def test_malformed_instance_file_is_a_usage_error(tmp_path, capsys, corrupt, reason):
     src = tmp_path / "bad.json"
@@ -155,6 +172,25 @@ def test_missing_instance_file_is_a_usage_error(tmp_path, capsys):
     src = tmp_path / "absent.json"
     err = _usage_error(capsys, "fr", "--instance", str(src), "--out", str(tmp_path / "o"))
     assert f"cannot load --instance {src}: FileNotFoundError" in err
+
+
+_REPORT = {"solve": "report.json", "fr": "fr_report.json", "pipeline": "report.json",
+           "diagnose": "diagnose.json"}
+
+
+@pytest.mark.parametrize("seed", [7, None], ids=["seed-7", "no-seed"])
+@pytest.mark.parametrize("command", sorted(_REPORT))
+def test_an_instance_run_echoes_the_seed_of_its_file(tmp_path, command, seed):
+    # the certificate search seeds from meta.seed, 0 when the file has none
+    payload = instance_to_dict(generate(GeneratorSpec(family="Elliptope", n=4, seed=7)))
+    if seed is None:
+        del payload["meta"]["seed"]
+    src = tmp_path / "problem.json"
+    src.write_text(dumps_json(payload))
+    out = tmp_path / "o"
+    assert _run(command, "--instance", str(src), "--out", str(out)) == EXIT_OK
+    config = json.loads((out / _REPORT[command]).read_text())["config"]
+    assert config["seed"] == (0 if seed is None else seed)
 
 
 @pytest.mark.parametrize(
@@ -577,9 +613,9 @@ def test_generated_order_must_be_positive(tmp_path, capsys):
         (("--gen", "RandomSlater", "--iips", "2", "--support", "3"),
          "iips, support applies only to PlantedNoSlater, not RandomSlater"),
         (("--gen", "DualUnattained", "--n", "3", "--w-mode", "feasible"),
-         "w_mode applies only to Elliptope, VontopePre, VontopePost, RandomSlater and "
+         "--w-mode applies only to Elliptope, VontopePre, VontopePost, RandomSlater and "
          "PlantedNoSlater, not DualUnattained"),
-        (("--gen", "Sd2Chain", "--w-mode", "rank1"), "w_mode applies only to"),
+        (("--gen", "Sd2Chain", "--w-mode", "rank1"), "--w-mode applies only to"),
         (("--gen", "DualGapFace", "--w-mode", "feasible"), "not DualGapFace"),
     ],
     ids=[
@@ -652,6 +688,10 @@ _UNREAD = [
     pytest.param((cmd, "--gen", fam), flag, id=f"{cmd}-{fam}{flag[0]}")
     for cmd, fam in (("fr", "Sd2Chain"), ("pipeline", "DualGapFace"), ("gen", "Sd2Chain"))
     for flag in (("--n", "7"), ("--seed", "9"))
+] + [
+    # no anchor is drawn for these families, so not even the default w_mode is read
+    pytest.param(("gen", "--gen", fam, *n), ("--w-mode", "random"), id=f"gen-{fam}--w-mode")
+    for fam, n in (("Sd2Chain", ()), ("DualGapFace", ()), ("DualUnattained", ("--n", "3")))
 ] + [
     # the point modes of diagnose run no Newton solve
     pytest.param(("diagnose", *point), flag, id="diagnose" + point[2] + flag[0])

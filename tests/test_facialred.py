@@ -3,7 +3,6 @@ import pytest
 
 from spectraproj.facialred import (
     AuxCertificate,
-    FaceChain,
     FaceCollapsedError,
     _aux_jacobian,
     _aux_residual,
@@ -130,13 +129,14 @@ def test_fr_step_collapse_is_an_error():
 
 def test_two_round_chain_structure():
     inst = fixture_sd2_chain()
-    chain, final = fr_loop(inst)
-    assert chain.sd_hat == 2
-    assert chain.iips_hat == 2
-    assert [s.rows_removed for s in chain.steps] == [[2], [1]]
+    run = fr_loop(inst)
+    final = run.final
+    assert run.sd_hat == 2
+    assert run.iips_hat == 2
+    assert [s.rows_removed for s in run.steps] == [[2], [1]]
     assert final.n == 1 and final.m == 1
     # final face is the span of e1, up to sign
-    assert np.allclose(np.abs(chain.V), [[1.0], [0.0], [0.0]], atol=1e-9)
+    assert np.allclose(np.abs(run.V), [[1.0], [0.0], [0.0]], atol=1e-9)
     # the reduced system pins the single remaining variable to one
     assert np.allclose(final.map.rows, [[1.0]], atol=1e-12)
     assert np.allclose(final.b, [1.0], atol=1e-12)
@@ -149,9 +149,9 @@ def test_the_fr_loop_runs_no_newton_solve(monkeypatch):
         raise AssertionError("the certificate-only loop ran a Newton solve")
 
     monkeypatch.setattr(facialred, "newton_solve", no_solve)
-    chain, final = fr_loop(fixture_sd2_chain())
-    assert [s.rows_removed for s in chain.steps] == [[2], [1]]
-    assert final.n == 1
+    run = fr_loop(fixture_sd2_chain())
+    assert [s.rows_removed for s in run.steps] == [[2], [1]]
+    assert run.final.n == 1
     res = solve_with_reduction(fixture_sd2_chain(), newton=False)
     assert [r.trace for r in res.rounds] == [None, None, None]
     assert [r.step is None for r in res.rounds] == [False, False, True]
@@ -161,10 +161,11 @@ def test_the_fr_loop_runs_no_newton_solve(monkeypatch):
 
 def test_chain_preserves_planted_feasibility():
     inst = gen_planted_noslater(12, 7, sd_target=2, iips_target=2, support_size=5, seed=3)
-    chain, final = fr_loop(inst)
-    assert chain.sd_hat >= 1
+    run = fr_loop(inst)
+    final = run.final
+    assert run.sd_hat >= 1
     Xhat = smat(np.asarray(inst.meta["planted"]["xhat"]))
-    R = chain.V.T @ Xhat @ chain.V
+    R = run.V.T @ Xhat @ run.V
     pf = np.linalg.norm(final.map.apply(R) - final.b)
     assert pf <= 1e-10 * (1.0 + np.linalg.norm(final.b))
     assert np.linalg.eigvalsh(R).min() >= -1e-10
@@ -172,10 +173,10 @@ def test_chain_preserves_planted_feasibility():
 
 def test_face_dimension_strictly_decreases():
     inst = gen_planted_noslater(12, 7, sd_target=2, iips_target=2, support_size=5, seed=3)
-    chain, final = fr_loop(inst)
-    dims = [inst.n] + [s.r_after for s in chain.steps]
+    run = fr_loop(inst)
+    dims = [inst.n] + [s.r_after for s in run.steps]
     assert all(a > b for a, b in zip(dims, dims[1:]))
-    assert len(chain.steps) <= inst.n
+    assert len(run.steps) <= inst.n
 
 
 def test_post_reduction_solves_cleanly():
@@ -184,8 +185,7 @@ def test_post_reduction_solves_cleanly():
         fixture_dual_gap_face(),
         gen_planted_noslater(12, 7, sd_target=2, iips_target=2, support_size=5, seed=3),
     ):
-        chain, final = fr_loop(inst)
-        trace = newton_solve(final)
+        trace = newton_solve(fr_loop(inst).final)
         assert trace.status == NewtonStatus.SOLVED
         assert trace.relres_final <= 1e-13
 
@@ -197,30 +197,29 @@ def test_lifted_certificates_annihilate_roots():
         15, 7, sd_target=1, iips_target=1, support_size=5, seed=4, plant_root=True
     )
     y_root = np.asarray(inst.meta["planted"]["y_root"], dtype=float)
-    chain, _ = fr_loop(inst)
-    assert chain.sd_hat >= 1
+    run = fr_loop(inst)
+    assert run.sd_hat >= 1
     J = jacobian(inst, y_root)
     nJ = np.linalg.norm(J, 2)
-    for s in chain.steps[:1]:
+    for s in run.steps[:1]:
         lam = s.lam_lifted
         assert np.linalg.norm(J @ lam) <= 1e-8 * nJ * np.linalg.norm(lam)
 
 
 def test_chain_independence_checks():
     inst = fixture_sd2_chain()
-    chain, _ = fr_loop(inst)
-    assert check_independence(chain)
+    run = fr_loop(inst)
+    assert check_independence(run)
     y_root = np.asarray(inst.meta["planted"]["y_root"], dtype=float)
-    assert check_independence(chain, inst=inst, y_root=y_root)
-    # corrupt the chain: duplicate certificates are dependent
-    chain.steps.append(chain.steps[0])
-    assert not check_independence(chain)
+    assert check_independence(run, inst=inst, y_root=y_root)
+    # corrupt the run: a repeated round repeats its certificate, which is dependent
+    run.rounds.insert(-1, run.rounds[0])
+    assert not check_independence(run)
 
 
 def test_report_shape():
     inst = fixture_sd2_chain()
-    chain, final = fr_loop(inst)
-    rep = fr_report(chain, final)
+    rep = fr_report(fr_loop(inst))
     assert rep["sd_hat"] == 2
     assert rep["iips_hat"] == 2
     assert rep["final_n"] == 1
@@ -230,9 +229,10 @@ def test_report_shape():
 
 def test_gap_instance_reduces_to_zero_solution():
     inst = fixture_dual_gap_face()
-    chain, final = fr_loop(inst)
+    run = fr_loop(inst)
+    final = run.final
     trace = newton_solve(final)
-    X_lift = chain.V @ trace.triple.X @ chain.V.T
+    X_lift = run.V @ trace.triple.X @ run.V.T
     assert np.linalg.norm(X_lift) <= 1e-10
     res = kkt_residuals(inst, trace.triple) if final.n == inst.n else None
     assert res is None  # the face genuinely shrank
@@ -252,7 +252,7 @@ def test_stall_then_reduce_then_solve():
 def test_solve_with_reduction_on_the_two_step_chain():
     inst = fixture_sd2_chain()
     res = solve_with_reduction(inst)
-    assert res.chain.sd_hat == 2
+    assert res.sd_hat == 2
     assert len(res.rounds) == 3
     assert [r.step is None for r in res.rounds] == [False, False, True]
     assert [r.inst.n for r in res.rounds] == [3, 2, 1]
@@ -261,21 +261,45 @@ def test_solve_with_reduction_on_the_two_step_chain():
     assert np.allclose(res.X, np.outer(e1, e1), atol=1e-10)
     assert primal_objective(inst, res.X) == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(inst.map.apply(res.X), inst.b, atol=1e-12)
-    assert check_independence(res.chain)
+    assert check_independence(res)
     y_root = np.asarray(inst.meta["planted"]["y_root"], dtype=float)
-    assert check_independence(res.chain, inst=inst, y_root=y_root)
+    assert check_independence(res, inst=inst, y_root=y_root)
     # the same rows are dropped as by the certificate-only loop
-    chain, _ = fr_loop(inst)
-    assert [s.rows_removed for s in res.chain.steps] == [s.rows_removed for s in chain.steps]
-    assert res.chain.kept.tolist() == [True, False, False]
+    run = fr_loop(inst)
+    assert [s.rows_removed for s in res.steps] == [s.rows_removed for s in run.steps]
+    assert res.kept.tolist() == [True, False, False]
 
 
 def test_solve_with_reduction_stops_at_a_clean_solve():
     inst = gen_random_slater(6, 8, seed=2)
     res = solve_with_reduction(inst)
     assert len(res.rounds) == 1 and res.rounds[0].step is None
-    assert res.chain.sd_hat == 0
+    assert res.sd_hat == 0
     assert np.array_equal(res.X, res.rounds[0].trace.triple.X)
+
+
+@pytest.mark.parametrize("newton", [True, False], ids=["newton", "cold"])
+@pytest.mark.parametrize(
+    "make",
+    [fixture_sd2_chain,
+     lambda: gen_planted_noslater(12, 7, sd_target=2, iips_target=2, support_size=5, seed=3)],
+    ids=["Sd2Chain", "planted"],
+)
+def test_a_reduction_run_is_one_record(make, newton):
+    inst = make()
+    res = solve_with_reduction(inst, newton=newton)
+    assert res.sd_hat >= 1
+    # each round but the last carries the step that reduced it
+    assert res.steps == [r.step for r in res.rounds[:-1]]
+    assert None not in res.steps and res.rounds[-1].step is None
+    assert res.sd_hat == len(res.rounds) - 1
+    assert [s.r_after for s in res.steps] == [r.inst.n for r in res.rounds[1:]]
+    V = np.eye(inst.n)
+    for s in res.steps:
+        V = V @ s.Q
+    assert V.shape == res.V.shape and V.tobytes() == res.V.tobytes()
+    assert res.kept.sum() == res.final.m
+    assert res.iips_hat == inst.m - res.final.m
 
 
 def test_solve_with_reduction_builds_each_matrix_stack_once(monkeypatch):
@@ -355,11 +379,13 @@ def test_restrict_reuses_the_certificates_decomposition(monkeypatch):
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         monkeypatch.setattr(np.linalg, name, _counting(calls, name, getattr(np.linalg, name)))
-    reduced = FaceChain.start(inst).restrict(inst, cert)
+    cert.validate(inst.b)
+    reduced, _, _ = fr_step(inst, cert)
     assert calls == {"eigh": 0, "eigvalsh": 0}
     # a certificate built from a bare Z decomposes it once, to the same face
     bare = AuxCertificate(lam=cert.lam, Z=cert.Z, residual=cert.residual, b_inner=cert.b_inner)
-    again = FaceChain.start(inst).restrict(inst, bare)
+    bare.validate(inst.b)
+    again, _, _ = fr_step(inst, bare)
     assert calls == {"eigh": 1, "eigvalsh": 0}
     assert np.array_equal(again.map.rows, reduced.map.rows)
 
@@ -434,9 +460,9 @@ def test_planted_point_stays_on_every_face_of_the_chain(n, m, sd, iips, seed):
     inst = gen_planted_noslater(n, m, sd_target=sd, iips_target=iips, support_size=5, seed=seed)
     Xhat = smat(np.asarray(inst.meta["planted"]["xhat"]))
     res = solve_with_reduction(inst)
-    assert res.chain.sd_hat >= 1
+    assert res.sd_hat >= 1
     V = np.eye(n)
-    for s in res.chain.steps:
+    for s in res.steps:
         V = V @ s.Q
         P = V @ V.T
         assert np.linalg.norm(Xhat - P @ Xhat @ P) <= 1e-8 * np.linalg.norm(Xhat)

@@ -24,7 +24,6 @@ FOR_USERS = {
     "jacobian": "the generalized Jacobian of the root function, the Newton matrix",
     "jacobian_spectrum": "the Newton matrix's spectrum, whose conditioning signals degeneracy",
     "AuxCertificate": "an exposing vector of the theorem of the alternative, as fr_step takes it",
-    "FaceChain": "the chain of exposed faces that fr_loop returns",
     "ReductionResult": "what solve_with_reduction returns",
     "certificate_from_stall": "the stall direction of the Newton matrix, a warm start",
     "fr_step": "one facial-reduction step: restriction to the exposed face",

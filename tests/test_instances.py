@@ -149,9 +149,9 @@ def test_redundancy_count_is_honored():
     inst = gen_planted_noslater(
         12, 9, sd_target=1, iips_target=4, support_size=4, seed=5
     )
-    chain, final = fr_loop(inst)
-    assert chain.iips_hat == 4
-    assert final.m == inst.m - 4
+    run = fr_loop(inst)
+    assert run.iips_hat == 4
+    assert run.final.m == inst.m - 4
 
 
 def test_planted_root_is_a_root():

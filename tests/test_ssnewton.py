@@ -665,6 +665,7 @@ def test_a_solved_trace_forms_its_last_newton_matrix_once_on_first_read(monkeypa
     calls = _count_newton_matrices(monkeypatch)
     got = {name: _READS[name](trace) for name in order}
     assert calls == {"assembly": 1, "spectrum": 1}
+    assert trace.J is trace.iterates[-1].J
     assert got["J"].tobytes() == trace.J.tobytes() == J.tobytes()
     assert got["eig_J"].tobytes() == eig_J.tobytes()
     assert got["cond_final"] == trace.iterates[-1].cond == cond
@@ -690,6 +691,8 @@ def test_an_unsolved_run_forms_the_newton_matrix_at_every_iterate(monkeypatch, i
     assert calls == {"assembly": iterates, "spectrum": iterates}
     trace_to_csv(trace)
     assert trace.cond_final == trace.iterates[-1].cond
+    assert trace.J is trace.iterates[-1].J
+    assert all(it.J is None for it in trace.iterates[:-1])
     assert np.array_equal(trace.J, jacobian(inst, trace.triple.y))
     # jacobian() above is the one assembly the reads added
     assert calls == {"assembly": iterates + 1, "spectrum": iterates}
@@ -886,7 +889,7 @@ def test_trace_csv_writes_each_value_as_format_17g():
                       lam_min_X=0.0, wallclock=0.0)
         for k, (r, c) in enumerate(zip(specials, specials[::-1]))
     ]
-    trace = NewtonTrace(iterates, NewtonStatus.ITER_LIMIT, None, NewtonOptions(), np.zeros((6, 6)))
+    trace = NewtonTrace(iterates, NewtonStatus.ITER_LIMIT, None)
     lines = ["iter,relres,cond," + ",".join(f"eigJ_{i}" for i in range(1, 7))]
     for it in iterates:
         vals = [str(it.k), format(it.relres, ".17g"), format(it.cond, ".17g")]
